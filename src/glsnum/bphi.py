@@ -27,7 +27,7 @@ from glsnum.measure import DiscreteMeasureSpace, MeasurableFunction
 from glsnum.psi import PsiFunction
 from glsnum.search import (GridSpec, NoFeasiblePoint, NoInfeasiblePoint,
                            grid_refine_max, increasing_inverse, log_grid,
-                           min_feasible)
+                           min_feasible, min_feasible_batch)
 
 __all__ = [
     "PhiFunction",
@@ -289,7 +289,10 @@ def psi_from_phi(phi: PhiFunction, *, normalize: bool = True,
 
     The support is [1, b) with b the supremum of phi over its interval
     (exponents beyond the range of phi are outside the support); with
-    normalize the function is rescaled to infimum 1 over [1, p_max].
+    normalize the function is rescaled to infimum 1 over [1, p_max].  Each
+    evaluation inverts phi at all its points in one batched bracket-and-
+    bisect pass that gives every point exactly the scalar
+    increasing_inverse(phi, p, rel_tol=inverse_tol).
     """
     sup_phi = phi.sup_value
     if sup_phi <= 1.0:
@@ -298,13 +301,19 @@ def psi_from_phi(phi: PhiFunction, *, normalize: bool = True,
             "p >= 1 in the support")
     lam_hi = phi.lambda0 if math.isfinite(phi.lambda0) else 1e154
 
-    def inv(p: float) -> float:
-        return increasing_inverse(lambda lam: float(phi(lam)), p,
-                                  x_hi=lam_hi, rel_tol=inverse_tol)
-
     def raw(p: np.ndarray) -> np.ndarray:
         flat = np.atleast_1d(np.asarray(p, dtype=float))
-        out = np.array([x / inv(float(x)) for x in flat])
+        if flat.size == 1:  # one point: the scalar loop has less overhead
+            inv = increasing_inverse(lambda lam: float(phi(lam)),
+                                     float(flat[0]), x_hi=lam_hi,
+                                     rel_tol=inverse_tol)
+        else:
+            # support points p >= 1 lie above phi(0) = 0, where
+            # increasing_inverse is min_feasible(side="hi") from lambda = 1
+            inv = min_feasible_batch(
+                lambda rows, lam: phi(lam) >= flat[rows], np.ones_like(flat),
+                rel_tol=inverse_tol, x_max=lam_hi)
+        out = flat / inv
         return out if np.ndim(p) else out[0]
 
     scale = 1.0

@@ -31,7 +31,7 @@ import numpy as np
 
 from glsnum.bphi import (RandomVariableSample, bphi_norm, membership_check,
                          phi_from_descriptor, psi_from_phi)
-from glsnum.convex import conjugate, exponent_V, h_of
+from glsnum.convex import exponent_V, h_of, young_fenchel_point
 from glsnum.duality import (SetFunction, associate_bound,
                             associate_norm_oracle, setfunction_norm,
                             verify_representation)
@@ -243,13 +243,12 @@ def _cmd_legendre(args) -> int:
     config = _config_from(args)
     psi = psi_from_descriptor(args.psi)
     h = h_of(psi, cap=config.p_max)
-    conj = conjugate(h, config.p_grid())
     report = {"command": "legendre", "psi": psi.label,
               "domain": [h.lo, h.hi], "capped": h.capped}
     if args.v:
         rows = []
         for v in args.v:
-            pt = conj.point(float(v))
+            pt = young_fenchel_point(h, float(v), config.p_grid())
             rows.append({"v": float(v), "value": pt.value,
                          "argmax_p": pt.argmax_z, "hit_cap": pt.hit_cap})
         report["conjugate"] = rows

@@ -4,7 +4,8 @@ The central object is h(p) = p * ln(psi(p)) on the support of a generating
 function; its Young conjugate h*(v) = sup_z (v z - h(z)) evaluated at
 v = ln|u| is the exponent function V(u) that builds the matching exponential
 Young function.  Conjugates are computed by a grid scan plus golden-section
-polish; when the maximizer abuts a computational cap the point is flagged
+polish, for a table of slopes by one matrix scan whose polishes all advance
+together; when the maximizer abuts a computational cap the point is flagged
 (the reported value is then a certified lower bound on the true supremum,
 which may be finite or infinite depending on the growth of h beyond the cap).
 """
@@ -12,21 +13,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from glsnum.psi import PsiFunction
-from glsnum.search import GridSpec, grid_refine_max, linear_grid
+from glsnum.search import (GridSpec, grid_refine_max, grid_refine_max_batch,
+                           linear_grid)
 
 __all__ = [
     "RealFunction1D",
     "ConjugatePoint",
-    "ConjugateResult",
     "h_of",
     "young_fenchel",
     "young_fenchel_point",
-    "conjugate",
     "exponent_V",
     "GrowthReport",
     "check_growth_condition",
@@ -141,55 +141,29 @@ def young_fenchel(h: RealFunction1D, v: float,
 def young_fenchel_table(h: RealFunction1D, vs,
                         grid: GridSpec = CONJUGATE_GRID
                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized conjugate over an array of slopes.
+    """Conjugate over an array of slopes, equal to young_fenchel_point at
+    each slope bit for bit.
 
-    The grid stage is one matrix pass; the polish runs per slope.  Returns
-    (values, argmaxes, hit_cap flags).
+    The grid stage is one in-place matrix pass; the golden-section polishes
+    of all slopes then advance together.  Returns (values, argmaxes, hit_cap
+    flags).
     """
     vs = np.asarray(vs, dtype=float)
     zs = h.scan_grid(grid.points)
     with np.errstate(invalid="ignore"):
-        hz = h(zs)
-        mat = np.multiply.outer(vs, zs) - hz
-    values = np.empty_like(vs)
-    argmaxes = np.empty_like(vs)
-    flags = np.zeros(vs.shape, dtype=bool)
-    for i, v in enumerate(vs):
-        def scalar(z: float, _v=float(v)) -> float:
-            val = h(z)
-            if not np.isfinite(val):
-                return -math.inf
-            return _v * z - val
+        mat = np.multiply.outer(vs, zs)
+        mat -= h(zs)
 
-        z_star, value, _ = grid_refine_max(scalar, zs, values=mat[i],
-                                           rel_tol=grid.rel_tol)
-        values[i] = value
-        argmaxes[i] = z_star
-        flags[i] = h.capped and z_star >= zs[-2]
+    def objective(rows: np.ndarray, z: np.ndarray) -> np.ndarray:
+        hz = h(z)
+        out = vs[rows] * z - hz
+        out[~np.isfinite(hz)] = -math.inf
+        return out
+
+    argmaxes, values, _ = grid_refine_max_batch(objective, zs, mat,
+                                                rel_tol=grid.rel_tol)
+    flags = h.capped & (argmaxes >= zs[-2])
     return values, argmaxes, flags
-
-
-class ConjugateResult:
-    """Callable view of a Young conjugate: value, maximizer and cap flag per
-    query slope."""
-
-    def __init__(self, h: RealFunction1D, grid: GridSpec = CONJUGATE_GRID):
-        self.h = h
-        self.grid = grid
-
-    def point(self, v: float) -> ConjugatePoint:
-        return young_fenchel_point(self.h, v, self.grid)
-
-    def __call__(self, v: float) -> float:
-        return self.point(v).value
-
-    def table(self, vs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return young_fenchel_table(self.h, vs, self.grid)
-
-
-def conjugate(h: RealFunction1D, grid: GridSpec = CONJUGATE_GRID
-              ) -> ConjugateResult:
-    return ConjugateResult(h, grid)
 
 
 def exponent_V(psi: PsiFunction, u: float, *,
@@ -317,8 +291,9 @@ def growth_report_for_psi(psi: PsiFunction, K: float, alpha: float, *,
         x_grid = np.geomspace(math.e * K * 1.0000001, 1e4, 160)
     xs = np.asarray(x_grid, dtype=float)
     h = h_of(psi, cap=grid.cap)
-    values, _, capped = young_fenchel_table(h, np.log(xs), grid)
-    values_k, _, capped_k = young_fenchel_table(h, np.log(xs / K), grid)
-    bad = capped | capped_k
-    values = np.where(bad, math.nan, values)  # flagged by _ratio_report
-    return _ratio_report(values_k, values, xs, float(alpha), float(K))
+    both, _, capped = young_fenchel_table(
+        h, np.concatenate([np.log(xs), np.log(xs / K)]), grid)
+    n = len(xs)
+    bad = capped[:n] | capped[n:]
+    values = np.where(bad, math.nan, both[:n])  # flagged by _ratio_report
+    return _ratio_report(both[n:], values, xs, float(alpha), float(K))

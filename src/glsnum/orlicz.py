@@ -14,7 +14,8 @@ keeps nested conjugations and Luxemburg bisection loops fast.
 
 Luxemburg norms are the smallest k with integral N(f/k) <= 1, found by
 geometric bracketing plus bisection; conjugate Young functions N*(v) =
-sup_u (v u - N(u)) reuse the scan-and-polish machinery.
+sup_u (v u - N(u)) reuse the scan-and-polish machinery, a tabulated
+conjugate in one young_fenchel_table pass over all its nodes.
 """
 from __future__ import annotations
 
@@ -24,11 +25,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from glsnum.convex import (CONJUGATE_GRID, ConjugatePoint, h_of,
-                           young_fenchel_table)
+from glsnum.convex import (CONJUGATE_GRID, ConjugatePoint, RealFunction1D,
+                           h_of, young_fenchel_table)
 from glsnum.glnorm import DEFAULT_GRID, gls_norm
 from glsnum.measure import (DiscreteMeasureSpace, MeasurableFunction,
-                            _check_bound, ess_sup, integrate)
+                            _check_bound, integrate)
 from glsnum.psi import PsiFunction
 from glsnum.search import (GridSpec, NoFeasiblePoint, NoInfeasiblePoint,
                            grid_refine_max, linear_grid, min_feasible)
@@ -213,13 +214,12 @@ def conjugate_young_function(N: YoungFunction, *,
     only; trusted_up_to records where certification ends.
     """
     ys = np.geomspace(y_min, y_max, table_points)
-    values = np.empty_like(ys)
-    first_hit = math.inf
-    for i, y in enumerate(ys):
-        pt = conjugate_young_point(N, float(y), u_max=u_max, grid=grid)
-        values[i] = pt.value
-        if pt.hit_cap:
-            first_hit = min(first_hit, float(y))
+    # N on the scan interval [0, u_max], the cap standing in for u = inf:
+    # its Young conjugate at each node is conjugate_young_point's value
+    on_scan = RealFunction1D(0.0, u_max, N, capped=True, label=N.label)
+    values, _, hit_cap = young_fenchel_table(on_scan, ys, grid)
+    values = np.where(0.0 > values, 0.0, values)  # as max(value, 0.0)
+    first_hit = float(ys[np.argmax(hit_cap)]) if hit_cap.any() else math.inf
     if np.any(values <= 0):
         raise ValueError(f"conjugate of {N.label} vanished on the y-grid; "
                          "the conjugate degenerates (or widen the scan)")

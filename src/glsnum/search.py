@@ -1,4 +1,4 @@
-"""Scalar search utilities: grids, golden-section refinement, monotone bisection.
+"""Search utilities: grids, golden-section refinement, monotone bisection.
 
 Every supremum or infimum in this package reduces to a one-dimensional scan
 over a bounded interval (computational caps stand in for infinite endpoints),
@@ -7,6 +7,12 @@ cell with golden-section search, and never report less than the best grid
 value.  Norm-type quantities (Luxemburg norms, mgf-bounding norms) reduce to
 finding the smallest feasible scale for a monotone feasibility predicate,
 handled by geometric bracket expansion plus bisection.
+
+grid_refine_max_batch and min_feasible_batch run many independent searches
+of one kind together: the same per-row arithmetic as the scalar routines,
+bit for bit, with one vectorized objective or predicate call per step.  The
+scalar routines stay for single queries, where numpy's per-call overhead
+would outweigh the batching.
 """
 from __future__ import annotations
 
@@ -132,6 +138,78 @@ def grid_refine_max(fn: Callable[[float], float], xs: Sequence[float], *,
     return x0, f0, i
 
 
+def _golden_max_rows(fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                     rows: np.ndarray, a: np.ndarray, b: np.ndarray,
+                     tol: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """golden_max on many brackets at once: row k maximizes fn(rows[k], .)
+    on [a[k], b[k]] (a <= b) with tolerance tol[k].  Every row runs exactly
+    the iterations and arithmetic of the scalar loop; finished rows drop out.
+    """
+    h = b - a
+    x = 0.5 * (a + b)
+    fx = np.empty_like(x)
+    narrow = h <= tol
+    if narrow.any():
+        fx[narrow] = fn(rows[narrow], x[narrow])
+    wide = np.flatnonzero(~narrow)
+    if wide.size == 0:
+        return x, fx
+    a, b, h, tol, rw = a[wide], b[wide], h[wide], tol[wide], rows[wide]
+    c = b - _INV_GOLDEN * h
+    d = a + _INV_GOLDEN * h
+    fc = fn(rw, c)
+    fd = fn(rw, d)
+    act = np.arange(wide.size)
+    while act.size:
+        left = fc[act] >= fd[act]
+        lt, rt = act[left], act[~left]
+        b[lt], d[lt], fd[lt] = d[lt], c[lt], fc[lt]
+        a[rt], c[rt], fc[rt] = c[rt], d[rt], fd[rt]
+        h[act] = b[act] - a[act]
+        c[lt] = b[lt] - _INV_GOLDEN * h[lt]
+        d[rt] = a[rt] + _INV_GOLDEN * h[rt]
+        f_new = fn(rw[act], np.where(left, c[act], d[act]))
+        fc[lt] = f_new[left]
+        fd[rt] = f_new[~left]
+        act = act[h[act] > tol[act]]
+    take_c = fc >= fd
+    x[wide] = np.where(take_c, c, d)
+    fx[wide] = np.where(take_c, fc, fd)
+    return x, fx
+
+
+def grid_refine_max_batch(fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                          xs: Sequence[float], values: np.ndarray, *,
+                          rel_tol: float = 1e-10
+                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """grid_refine_max for many objectives over one shared grid.
+
+    fn      -- fn(rows, x): objective of each row in the index array rows at
+               the matching point of x (both 1-d, same length)
+    values  -- (rows, len(xs)) grid values; overwritten (NaN -> -inf)
+    Returns arrays (x_star, f_star, best_grid_index).  Row k is bit-identical
+    to grid_refine_max(lambda x: fn([k], [x])[0], xs, values=values[k],
+    rel_tol=rel_tol) with the linear (not log) polish; the polishes of all
+    rows advance together, one vectorized fn call per golden-section step.
+    """
+    xs = np.asarray(xs, dtype=float)
+    values[np.isnan(values)] = -np.inf
+    idx = np.argmax(values, axis=1)
+    f_star = values[np.arange(len(idx)), idx]
+    x_star = xs[idx]
+    lo = xs[np.maximum(idx - 1, 0)]
+    hi = xs[np.minimum(idx + 1, len(xs) - 1)]
+    polish = np.flatnonzero((hi > lo) & np.isfinite(f_star))
+    if polish.size:
+        lo, hi = lo[polish], hi[polish]
+        tol = rel_tol * np.maximum(np.maximum(np.abs(lo), np.abs(hi)), 1.0)
+        xr, fr = _golden_max_rows(fn, polish, lo, hi, tol)
+        better = fr > f_star[polish]
+        x_star[polish[better]] = xr[better]
+        f_star[polish[better]] = fr[better]
+    return x_star, f_star, idx
+
+
 def min_feasible(feasible: Callable[[float], bool], x0: float, *,
                  rel_tol: float = 1e-10, factor: float = 2.0,
                  x_min: float = 1e-300, x_max: float = 1e308,
@@ -185,6 +263,83 @@ def min_feasible(feasible: Callable[[float], bool], x0: float, *,
         else:
             lo = mid
     return hi if side == "hi" else 0.5 * (lo + hi)
+
+
+def min_feasible_batch(feasible: Callable[[np.ndarray, np.ndarray],
+                                          np.ndarray],
+                       x0: np.ndarray, *, rel_tol: float = 1e-10,
+                       factor: float = 2.0, x_min: float = 1e-300,
+                       x_max: float = 1e308,
+                       max_steps: int = 1100) -> np.ndarray:
+    """min_feasible(side="hi") for len(x0) monotone predicates at once.
+
+    feasible -- feasible(rows, x): boolean array, the predicate of each row in
+                the index array rows at the matching point of x
+    x0       -- starting scale of each row
+    Row k of the result is bit-identical to min_feasible(lambda x:
+    feasible([k], [x])[0], x0[k], ..., side="hi").  Bracketing and bisection
+    advance all unfinished rows together, one vectorized feasible call per
+    step.  If any row would raise, the exception of the first such row is
+    raised.
+    """
+    x0 = np.asarray(x0, dtype=float)
+    n = len(x0)
+    if n == 0:
+        return np.empty(0)
+    if not np.all((x0 > 0) & np.isfinite(x0)):
+        raise ValueError("x0 must be a positive finite real")
+    x0 = np.minimum(np.maximum(x0, x_min), x_max)
+    rows = np.arange(n)
+    shrink = feasible(rows, x0)
+    with np.errstate(over="ignore"):
+        lo = np.where(shrink, x0 / factor, x0)
+        hi = np.where(shrink, x0, x0 * factor)
+    error: list = [None] * n
+    act = rows
+    for _ in range(max_steps):
+        s = shrink[act]
+        out_lo = s & (lo[act] < x_min)
+        for k in act[out_lo]:
+            error[k] = NoInfeasiblePoint(
+                f"feasible all the way down to {x_min:g}")
+        act, s = act[~out_lo], s[~out_lo]
+        if act.size == 0:
+            break
+        clip = ~s & (hi[act] > x_max)
+        probe = np.where(s, lo[act], np.where(clip, x_max, hi[act]))
+        ok = feasible(act, probe)
+        for k in act[clip & ~ok]:
+            error[k] = NoFeasiblePoint(
+                f"infeasible all the way up to {x_max:g}")
+        hi[act[clip & ok]] = x_max
+        step = np.where(s, ok, ~ok & ~clip)
+        down, up = act[s & ok], act[~s & step]
+        hi[down] = lo[down]
+        lo[down] /= factor
+        lo[up] = hi[up]
+        with np.errstate(over="ignore"):
+            hi[up] *= factor
+        act = act[step]
+    else:
+        for k in act:
+            error[k] = (NoInfeasiblePoint("bracket shrink budget exhausted")
+                        if shrink[k] else
+                        NoFeasiblePoint("bracket expansion budget exhausted"))
+    for err in error:
+        if err is not None:
+            raise err
+    act = np.flatnonzero((hi - lo) > rel_tol * hi)
+    while act.size:
+        mid = np.sqrt(lo[act] * hi[act])
+        inside = (lo[act] < mid) & (mid < hi[act])
+        act, mid = act[inside], mid[inside]
+        if act.size == 0:
+            break
+        ok = feasible(act, mid)
+        hi[act[ok]] = mid[ok]
+        lo[act[~ok]] = mid[~ok]
+        act = act[(hi[act] - lo[act]) > rel_tol * hi[act]]
+    return hi
 
 
 def increasing_inverse(fn: Callable[[float], float], y: float, *,

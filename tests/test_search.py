@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from glsnum.search import (BracketError, GridSpec, NoFeasiblePoint,
                            NoInfeasiblePoint, golden_max, grid_refine_max,
-                           increasing_inverse, linear_grid, log_grid,
-                           min_feasible)
+                           grid_refine_max_batch, increasing_inverse,
+                           linear_grid, log_grid, min_feasible,
+                           min_feasible_batch)
 
 
 def test_grid_spec_validation():
@@ -119,3 +120,149 @@ def test_increasing_inverse_square(y):
 def test_increasing_inverse_log():
     x = increasing_inverse(math.log1p, 3.0, x_hi=1e9)
     assert x == pytest.approx(math.expm1(3.0), rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# batched primitives: row by row bit-identical to the scalar routines
+# ---------------------------------------------------------------------------
+
+def _batch_objective(a, c, b, w):
+    def fn(rows, x):
+        return -a[rows] * (x - c[rows]) ** 2 + b[rows] * np.sin(w[rows] * x)
+    return fn
+
+
+@given(n_grid=st.integers(min_value=3, max_value=40),
+       lo=st.floats(min_value=-300.0, max_value=300.0),
+       span=st.floats(min_value=1e-3, max_value=600.0),
+       cluster=st.integers(min_value=0, max_value=10_000),
+       rel_tol=st.sampled_from([1e-12, 1e-10, 1e-6, 1e-3]),
+       params=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.01, 5.0),
+                                 st.floats(0.0, 2.0), st.floats(0.1, 10.0)),
+                       min_size=1, max_size=8))
+@settings(max_examples=80, deadline=None)
+def test_grid_refine_max_batch_matches_scalar(n_grid, lo, span, cluster,
+                                              rel_tol, params):
+    xs = np.linspace(lo, lo + span, n_grid)
+    # a cluster of three nodes 2 eps wide: a row peaked at its middle node
+    # polishes a cell narrower than its tolerance
+    j = cluster % (n_grid - 1)
+    eps = 1e-14 * max(abs(xs[j]), abs(xs[j + 1]), 1.0)
+    centre = xs[j] + eps
+    xs = np.insert(xs, j + 1, [centre, xs[j] + 2 * eps])
+    # a last cell eps wide: its polish is the midpoint evaluation alone
+    eps_end = 1e-14 * max(abs(xs[-1]), 1.0)
+    xs = np.append(xs, xs[-1] + eps_end)
+    assert np.all(np.diff(xs) > 0)
+    # random rows peak anywhere inside the grid (their tolerances differ
+    # with the magnitude of their best cell); then a constant row (the
+    # polish ties the grid value), a row peaked inside the narrow last
+    # cell, the cluster row, rows best at the left and right ends, an
+    # all-NaN row and an all -inf row
+    pos, a, b, w = (np.array(col) for col in zip(*params))
+    c = np.concatenate([lo + pos * span,
+                        [0.0, xs[-2] + 0.6 * eps_end, centre,
+                         xs[0] - 1.0, xs[-1] + 1.0, 0.0, 0.0]])
+    a = np.concatenate([a, [0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]])
+    b = np.concatenate([b, np.zeros(7)])
+    w = np.concatenate([w, np.ones(7)])
+    fn = _batch_objective(a, c, b, w)
+    n = len(c)
+    rows = np.repeat(np.arange(n), len(xs))
+    values = fn(rows, np.tile(xs, n)).reshape(n, len(xs))
+    values[-2] = np.nan
+    values[-1] = -np.inf
+    expected = [grid_refine_max(
+        lambda x, k=k: float(fn(np.array([k]), np.array([x]))[0]), xs,
+        values=values[k].copy(), rel_tol=rel_tol) for k in range(n)]
+    x_star, f_star, idx = grid_refine_max_batch(fn, xs, values,
+                                                rel_tol=rel_tol)
+    for k, (x_ref, f_ref, i_ref) in enumerate(expected):
+        assert (x_star[k], f_star[k], idx[k]) == (x_ref, f_ref, i_ref)
+    assert idx[n - 5] == j + 1
+    assert (idx[n - 4], idx[n - 3]) == (0, len(xs) - 1)
+    assert f_star[-2] == f_star[-1] == -np.inf
+
+
+def _scalar_min_feasible(t, x0, **kw):
+    try:
+        return min_feasible(lambda x: x >= t, x0, side="hi", **kw)
+    except BracketError as exc:
+        return type(exc)
+
+
+_ROWS = st.lists(st.tuples(st.floats(min_value=1e-9, max_value=1e9),
+                           st.floats(min_value=1e-3, max_value=1e3)),
+                 min_size=1, max_size=8)
+
+
+@given(rows=_ROWS, factor=st.sampled_from([1.5, 2.0, 3.0]),
+       rel_tol=st.sampled_from([1e-12, 1e-8, 1e-3]),
+       x_max=st.floats(min_value=1e3, max_value=1e7),
+       max_steps=st.sampled_from([3, 1100]))
+# shrink and expand rows; a threshold just below x_max, which the
+# expansion overshoots (the clip); both exceptions, the first failing row
+# deciding which is raised; a threshold bracketed only by a step below
+# x_min, which raises; exhausted shrink and expansion budgets
+@example(rows=[(0.3, 1.0), (70.0, 1.0)], factor=2.0, rel_tol=1e-10,
+         x_max=1e3, max_steps=1100)
+@example(rows=[(5.0, 1.0), (999.0, 1.0)], factor=2.0, rel_tol=1e-12,
+         x_max=1e3, max_steps=1100)
+@example(rows=[(5.0, 1.0), (1e-9, 1.0), (2e3, 1.0)], factor=2.0,
+         rel_tol=1e-10, x_max=1e3, max_steps=1100)
+@example(rows=[(5.0, 1.0), (2e3, 1.0), (1e-9, 1.0)], factor=2.0,
+         rel_tol=1e-10, x_max=1e3, max_steps=1100)
+@example(rows=[(9.6e-7, 1.0)], factor=2.0, rel_tol=1e-10, x_max=1e3,
+         max_steps=1100)
+@example(rows=[(1e-4, 1.0)], factor=2.0, rel_tol=1e-10, x_max=1e3,
+         max_steps=3)
+@example(rows=[(1e2, 1.0)], factor=2.0, rel_tol=1e-10, x_max=1e3,
+         max_steps=3)
+@settings(max_examples=80, deadline=None)
+def test_min_feasible_batch_matches_scalar(rows, factor, rel_tol, x_max,
+                                           max_steps):
+    t = np.array([r[0] for r in rows])
+    x0 = np.array([r[1] for r in rows])
+    kw = dict(rel_tol=rel_tol, factor=factor, x_min=1e-6, x_max=x_max,
+              max_steps=max_steps)
+    expected = [_scalar_min_feasible(tk, float(xk), **kw)
+                for tk, xk in zip(t, x0)]
+    failures = [e for e in expected if isinstance(e, type)]
+    if failures:
+        with pytest.raises(failures[0]):
+            min_feasible_batch(lambda r, x: x >= t[r], x0, **kw)
+        return
+    got = min_feasible_batch(lambda r, x: x >= t[r], x0, **kw)
+    assert got.tolist() == expected
+
+
+def test_conjugate_young_function_nodes_match_points():
+    from glsnum.orlicz import (build_N, conjugate_young_function,
+                               conjugate_young_point, power_young)
+    from glsnum.psi import make_power_psi
+    ys = np.geomspace(1e-8, 1e6, 64)
+    # u^2 puts its maximizer y/2 beyond the scan cap 200 from y = 400 on
+    for N, capped in ((build_N(make_power_psi(2.0), table_points=128), False),
+                      (power_young(2.0), True)):
+        Nc = conjugate_young_function(N, table_points=64)
+        points = [conjugate_young_point(N, float(y)) for y in ys]
+        assert Nc(ys).tolist() == [pt.value for pt in points]
+        hits = [float(y) for y, pt in zip(ys, points) if pt.hit_cap]
+        assert bool(hits) == capped
+        assert Nc.trusted_up_to == min(hits + [1e6])
+
+
+def test_psi_from_phi_array_matches_scalar_calls():
+    from glsnum.bphi import power_phi, psi_from_phi, quadratic_phi
+    for phi in (quadratic_phi(), power_phi(3.0), power_phi(1.5, 4.0)):
+        ps = np.concatenate([[1.0], np.geomspace(
+            1.01, min(phi.sup_value, 200.0) * 0.999, 57)])
+        psi = psi_from_phi(phi)
+        assert psi(ps).tolist() == [psi(float(p)) for p in ps]
+        # unnormalized, each value is p over the scalar inverse of phi
+        lam_hi = phi.lambda0 if math.isfinite(phi.lambda0) else 1e154
+        raw = psi_from_phi(phi, normalize=False)
+        assert raw(ps).tolist() == [
+            p / increasing_inverse(lambda lam: float(phi(lam)), float(p),
+                                   x_hi=lam_hi)
+            for p in ps]
