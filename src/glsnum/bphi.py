@@ -311,7 +311,7 @@ def psi_from_phi(phi: PhiFunction, *, normalize: bool = True,
             # support points p >= 1 lie above phi(0) = 0, where
             # increasing_inverse is min_feasible(side="hi") from lambda = 1
             inv = min_feasible_batch(
-                lambda rows, lam: phi(lam) >= flat[rows], np.ones_like(flat),
+                lambda rows, lam: phi(lam) >= flat[rows], flat.size,
                 rel_tol=inverse_tol, x_max=lam_hi)
         out = flat / inv
         return out if np.ndim(p) else out[0]

@@ -160,8 +160,8 @@ def young_fenchel_table(h: RealFunction1D, vs,
         out[~np.isfinite(hz)] = -math.inf
         return out
 
-    argmaxes, values, _ = grid_refine_max_batch(objective, zs, mat,
-                                                rel_tol=grid.rel_tol)
+    argmaxes, values = grid_refine_max_batch(objective, zs, mat,
+                                             rel_tol=grid.rel_tol)
     flags = h.capped & (argmaxes >= zs[-2])
     return values, argmaxes, flags
 

@@ -181,16 +181,17 @@ def _golden_max_rows(fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
 def grid_refine_max_batch(fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
                           xs: Sequence[float], values: np.ndarray, *,
                           rel_tol: float = 1e-10
-                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                          ) -> tuple[np.ndarray, np.ndarray]:
     """grid_refine_max for many objectives over one shared grid.
 
     fn      -- fn(rows, x): objective of each row in the index array rows at
                the matching point of x (both 1-d, same length)
     values  -- (rows, len(xs)) grid values; overwritten (NaN -> -inf)
-    Returns arrays (x_star, f_star, best_grid_index).  Row k is bit-identical
-    to grid_refine_max(lambda x: fn([k], [x])[0], xs, values=values[k],
-    rel_tol=rel_tol) with the linear (not log) polish; the polishes of all
-    rows advance together, one vectorized fn call per golden-section step.
+    Returns arrays (x_star, f_star).  Row k is bit-identical to the first two
+    results of grid_refine_max(lambda x: fn([k], [x])[0], xs,
+    values=values[k], rel_tol=rel_tol) with the linear (not log) polish; the
+    polishes of all rows advance together, one vectorized fn call per
+    golden-section step.
     """
     xs = np.asarray(xs, dtype=float)
     values[np.isnan(values)] = -np.inf
@@ -207,7 +208,7 @@ def grid_refine_max_batch(fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
         better = fr > f_star[polish]
         x_star[polish[better]] = xr[better]
         f_star[polish[better]] = fr[better]
-    return x_star, f_star, idx
+    return x_star, f_star
 
 
 def min_feasible(feasible: Callable[[float], bool], x0: float, *,
@@ -267,36 +268,30 @@ def min_feasible(feasible: Callable[[float], bool], x0: float, *,
 
 def min_feasible_batch(feasible: Callable[[np.ndarray, np.ndarray],
                                           np.ndarray],
-                       x0: np.ndarray, *, rel_tol: float = 1e-10,
-                       factor: float = 2.0, x_min: float = 1e-300,
-                       x_max: float = 1e308,
-                       max_steps: int = 1100) -> np.ndarray:
-    """min_feasible(side="hi") for len(x0) monotone predicates at once.
+                       n: int, *, rel_tol: float = 1e-10,
+                       x_max: float = 1e308) -> np.ndarray:
+    """min_feasible(side="hi") from x0 = 1 for n monotone predicates at once.
 
     feasible -- feasible(rows, x): boolean array, the predicate of each row in
                 the index array rows at the matching point of x
-    x0       -- starting scale of each row
+    x_max    -- finite upper limit of the search
     Row k of the result is bit-identical to min_feasible(lambda x:
-    feasible([k], [x])[0], x0[k], ..., side="hi").  Bracketing and bisection
-    advance all unfinished rows together, one vectorized feasible call per
-    step.  If any row would raise, the exception of the first such row is
-    raised.
+    feasible([k], [x])[0], 1.0, rel_tol=rel_tol, x_max=x_max, side="hi")
+    with its default factor 2 and x_min.  From x0 = 1 the halving passes
+    x_min and the doubling passes x_max well inside the scalar step budget,
+    so no row can exhaust it.  Bracketing and bisection advance all
+    unfinished rows together, one vectorized feasible call per step.  If
+    any row would raise, the exception of the first such row is raised.
     """
-    x0 = np.asarray(x0, dtype=float)
-    n = len(x0)
-    if n == 0:
-        return np.empty(0)
-    if not np.all((x0 > 0) & np.isfinite(x0)):
-        raise ValueError("x0 must be a positive finite real")
-    x0 = np.minimum(np.maximum(x0, x_min), x_max)
+    x_min = 1e-300
+    x0 = min(1.0, x_max)
     rows = np.arange(n)
-    shrink = feasible(rows, x0)
-    with np.errstate(over="ignore"):
-        lo = np.where(shrink, x0 / factor, x0)
-        hi = np.where(shrink, x0, x0 * factor)
+    shrink = feasible(rows, np.full(n, x0))
+    lo = np.where(shrink, x0 / 2.0, x0)
+    hi = np.where(shrink, x0, x0 * 2.0)
     error: list = [None] * n
     act = rows
-    for _ in range(max_steps):
+    while act.size:
         s = shrink[act]
         out_lo = s & (lo[act] < x_min)
         for k in act[out_lo]:
@@ -315,22 +310,18 @@ def min_feasible_batch(feasible: Callable[[np.ndarray, np.ndarray],
         step = np.where(s, ok, ~ok & ~clip)
         down, up = act[s & ok], act[~s & step]
         hi[down] = lo[down]
-        lo[down] /= factor
+        lo[down] /= 2.0
         lo[up] = hi[up]
         with np.errstate(over="ignore"):
-            hi[up] *= factor
+            hi[up] *= 2.0
         act = act[step]
-    else:
-        for k in act:
-            error[k] = (NoInfeasiblePoint("bracket shrink budget exhausted")
-                        if shrink[k] else
-                        NoFeasiblePoint("bracket expansion budget exhausted"))
     for err in error:
         if err is not None:
             raise err
     act = np.flatnonzero((hi - lo) > rel_tol * hi)
     while act.size:
-        mid = np.sqrt(lo[act] * hi[act])
+        with np.errstate(over="ignore"):  # inf fails the test below
+            mid = np.sqrt(lo[act] * hi[act])
         inside = (lo[act] < mid) & (mid < hi[act])
         act, mid = act[inside], mid[inside]
         if act.size == 0:

@@ -175,64 +175,54 @@ def test_grid_refine_max_batch_matches_scalar(n_grid, lo, span, cluster,
     expected = [grid_refine_max(
         lambda x, k=k: float(fn(np.array([k]), np.array([x]))[0]), xs,
         values=values[k].copy(), rel_tol=rel_tol) for k in range(n)]
-    x_star, f_star, idx = grid_refine_max_batch(fn, xs, values,
-                                                rel_tol=rel_tol)
-    for k, (x_ref, f_ref, i_ref) in enumerate(expected):
-        assert (x_star[k], f_star[k], idx[k]) == (x_ref, f_ref, i_ref)
-    assert idx[n - 5] == j + 1
-    assert (idx[n - 4], idx[n - 3]) == (0, len(xs) - 1)
+    x_star, f_star = grid_refine_max_batch(fn, xs, values, rel_tol=rel_tol)
+    for k, (x_ref, f_ref, _) in enumerate(expected):
+        assert (x_star[k], f_star[k]) == (x_ref, f_ref)
+    assert x_star[n - 5] == centre
+    assert (x_star[n - 4], x_star[n - 3]) == (xs[0], xs[-1])
     assert f_star[-2] == f_star[-1] == -np.inf
 
 
-def _scalar_min_feasible(t, x0, **kw):
+def _scalar_min_feasible(t, rel_tol, x_max):
     try:
-        return min_feasible(lambda x: x >= t, x0, side="hi", **kw)
+        return min_feasible(lambda x: x >= t, 1.0, rel_tol=rel_tol,
+                            x_max=x_max, side="hi")
     except BracketError as exc:
         return type(exc)
 
 
-_ROWS = st.lists(st.tuples(st.floats(min_value=1e-9, max_value=1e9),
-                           st.floats(min_value=1e-3, max_value=1e3)),
-                 min_size=1, max_size=8)
+# thresholds t of the predicates x >= t: 0 is feasible everywhere (the
+# shrink passes x_min and raises), t below 1 shrinks, t above 1 expands
+_THRESHOLDS = st.one_of(st.just(0.0),
+                        st.floats(min_value=-302.0, max_value=308.0).map(
+                            lambda e: 10.0 ** e))
 
 
-@given(rows=_ROWS, factor=st.sampled_from([1.5, 2.0, 3.0]),
+@given(t=st.lists(_THRESHOLDS, min_size=1, max_size=8),
        rel_tol=st.sampled_from([1e-12, 1e-8, 1e-3]),
-       x_max=st.floats(min_value=1e3, max_value=1e7),
-       max_steps=st.sampled_from([3, 1100]))
-# shrink and expand rows; a threshold just below x_max, which the
-# expansion overshoots (the clip); both exceptions, the first failing row
-# deciding which is raised; a threshold bracketed only by a step below
-# x_min, which raises; exhausted shrink and expansion budgets
-@example(rows=[(0.3, 1.0), (70.0, 1.0)], factor=2.0, rel_tol=1e-10,
-         x_max=1e3, max_steps=1100)
-@example(rows=[(5.0, 1.0), (999.0, 1.0)], factor=2.0, rel_tol=1e-12,
-         x_max=1e3, max_steps=1100)
-@example(rows=[(5.0, 1.0), (1e-9, 1.0), (2e3, 1.0)], factor=2.0,
-         rel_tol=1e-10, x_max=1e3, max_steps=1100)
-@example(rows=[(5.0, 1.0), (2e3, 1.0), (1e-9, 1.0)], factor=2.0,
-         rel_tol=1e-10, x_max=1e3, max_steps=1100)
-@example(rows=[(9.6e-7, 1.0)], factor=2.0, rel_tol=1e-10, x_max=1e3,
-         max_steps=1100)
-@example(rows=[(1e-4, 1.0)], factor=2.0, rel_tol=1e-10, x_max=1e3,
-         max_steps=3)
-@example(rows=[(1e2, 1.0)], factor=2.0, rel_tol=1e-10, x_max=1e3,
-         max_steps=3)
+       x_max=st.one_of(st.floats(min_value=1e-3, max_value=1e308),
+                       st.just(1e308)))
+# the clip: a threshold just below x_max, which the doubling overshoots;
+# both exceptions, the first failing row deciding which is raised; x_max
+# below the start 1, where the search starts at x_max; a threshold
+# bracketed only by a step below x_min, which raises
+@example(t=[0.3, 999.0], rel_tol=1e-12, x_max=1e3)
+@example(t=[5.0, 0.0, 2e3], rel_tol=1e-12, x_max=1e3)
+@example(t=[5.0, 2e3, 0.0], rel_tol=1e-12, x_max=1e3)
+@example(t=[1e-3, 0.2], rel_tol=1e-12, x_max=0.3)
+@example(t=[1e-300], rel_tol=1e-12, x_max=1e3)
 @settings(max_examples=80, deadline=None)
-def test_min_feasible_batch_matches_scalar(rows, factor, rel_tol, x_max,
-                                           max_steps):
-    t = np.array([r[0] for r in rows])
-    x0 = np.array([r[1] for r in rows])
-    kw = dict(rel_tol=rel_tol, factor=factor, x_min=1e-6, x_max=x_max,
-              max_steps=max_steps)
-    expected = [_scalar_min_feasible(tk, float(xk), **kw)
-                for tk, xk in zip(t, x0)]
+def test_min_feasible_batch_matches_scalar(t, rel_tol, x_max):
+    t = np.array(t)
+    expected = [_scalar_min_feasible(float(tk), rel_tol, x_max) for tk in t]
     failures = [e for e in expected if isinstance(e, type)]
     if failures:
         with pytest.raises(failures[0]):
-            min_feasible_batch(lambda r, x: x >= t[r], x0, **kw)
+            min_feasible_batch(lambda r, x: x >= t[r], len(t),
+                               rel_tol=rel_tol, x_max=x_max)
         return
-    got = min_feasible_batch(lambda r, x: x >= t[r], x0, **kw)
+    got = min_feasible_batch(lambda r, x: x >= t[r], len(t), rel_tol=rel_tol,
+                             x_max=x_max)
     assert got.tolist() == expected
 
 
