@@ -20,10 +20,10 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
-from scipy.special import logsumexp
 
 from glsnum.glnorm import DEFAULT_GRID, gls_norm
-from glsnum.measure import DiscreteMeasureSpace, MeasurableFunction
+from glsnum.measure import (DiscreteMeasureSpace, MeasurableFunction,
+                            _outer_logsumexp)
 from glsnum.psi import PsiFunction
 from glsnum.search import (GridSpec, NoFeasiblePoint, NoInfeasiblePoint,
                            grid_refine_max, increasing_inverse, log_grid,
@@ -225,11 +225,8 @@ def discretized_normal(points: int = 401, half_width: float = 8.0
 def log_mgf(xi: RandomVariableSample, lam) -> np.ndarray | float:
     """ln E exp(lambda xi), accumulated in the log domain (never overflows)."""
     arr = np.asarray(lam, dtype=float)
-    scalar = arr.ndim == 0
-    lams = np.atleast_1d(arr).astype(float)
-    mat = np.multiply.outer(lams, xi.values) + np.log(xi.probs)
-    out = logsumexp(mat, axis=-1)
-    return float(out[0]) if scalar else out
+    out = _outer_logsumexp(arr, xi.values, np.log(xi.probs))
+    return float(out) if arr.ndim == 0 else out
 
 
 def mgf(xi: RandomVariableSample, lam: float) -> float:
@@ -265,8 +262,7 @@ def bphi_norm(xi: RandomVariableSample, phi: PhiFunction, *,
         return 0.0
     lams = (_lambda_grid(phi, lambda_cap, grid_points)
             if lambda_grid is None else np.asarray(lambda_grid, dtype=float))
-    mat = np.multiply.outer(lams, xi.values / scale) + np.log(xi.probs)
-    lmgf = logsumexp(mat, axis=-1)
+    lmgf = _outer_logsumexp(lams, xi.values / scale, np.log(xi.probs))
 
     def feasible(tau: float) -> bool:
         with np.errstate(invalid="ignore"):

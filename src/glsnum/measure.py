@@ -3,8 +3,9 @@
 Everything heavier in this package (grand norms, associate bounds, Orlicz
 norms) reduces to weighted p-norms on a finite atom set.  This module is that
 substrate: an immutable space type, function values bound to it, integration,
-and p-norms that stay stable for large exponents by accumulating in the log
-domain.
+and p-norms.  Large exponents and exponent scans accumulate in the log domain
+through one row-wise log-sum-exp that works on a small reused block of rows,
+so a scan over many exponents never holds the full exponent-by-atom matrix.
 """
 from __future__ import annotations
 
@@ -16,7 +17,6 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
-from scipy.special import logsumexp
 
 __all__ = [
     "DiscreteMeasureSpace",
@@ -37,6 +37,9 @@ __all__ = [
 LOG_DOMAIN_EXPONENT = 50.0
 
 PROBABILITY_TOL = 1e-12
+
+#: doubles in the block buffer of _outer_logsumexp
+_LSE_BLOCK = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -197,7 +200,7 @@ def lp_norm(f: MeasurableFunction, p: float,
     """
     space = _check_bound(f, space)
     p = float(p)
-    if p < 1.0:
+    if not p >= 1.0:
         raise ValueError(f"p-norms need p >= 1, got {p}")
     if math.isinf(p):
         return ess_sup(f, space)
@@ -208,20 +211,23 @@ def lp_norm(f: MeasurableFunction, p: float,
     nz = absvals > 0.0
     if not nz.any():
         return 0.0
-    ln_sum = logsumexp(p * np.log(absvals[nz]) + np.log(w[nz]))
+    ln_sum = _outer_logsumexp(np.array([p]), np.log(absvals[nz]),
+                              np.log(w[nz]))[0]
     return float(math.exp(ln_sum / p))
 
 
 def lp_norms(f: MeasurableFunction, ps,
              space: DiscreteMeasureSpace | None = None) -> np.ndarray:
-    """Vectorized p-norms over an array of exponents (log-domain throughout).
+    """Vectorized p-norms over an array of exponents.
 
-    Agrees with lp_norm to near machine precision; meant for the inner loops
-    of sup/inf scans.
+    Each ln sum w|f|^p is a row-wise log-sum-exp over the nonzero atoms,
+    computed a block of exponents at a time, so memory stays near 2^16
+    doubles however many exponents and atoms there are.  Agrees with lp_norm
+    to near machine precision; meant for the inner loops of sup/inf scans.
     """
     space = _check_bound(f, space)
     ps = np.asarray(ps, dtype=float)
-    if np.any(ps < 1.0):
+    if not np.all(ps >= 1.0):
         raise ValueError("p-norms need p >= 1")
     absvals = np.abs(f.value_array)
     nz = absvals > 0.0
@@ -229,9 +235,43 @@ def lp_norms(f: MeasurableFunction, ps,
         return np.zeros_like(ps)
     logs = np.log(absvals[nz])
     logw = np.log(space.weight_array[nz])
-    mat = np.multiply.outer(ps, logs) + logw
-    ln_sum = logsumexp(mat, axis=-1)
-    return np.exp(ln_sum / ps)
+    return np.exp(_outer_logsumexp(ps, logs, logw) / ps)
+
+
+def _outer_logsumexp(xs, a, b) -> np.ndarray:
+    """ln sum_j exp(xs_i * a_j + b_j) for every element xs_i of xs.
+
+    Bit-identical to scipy.special.logsumexp(np.multiply.outer(xs, a) + b,
+    axis=-1), but only one buffer of about _LSE_BLOCK doubles holds rows at a
+    time.  Each row repeats scipy's real-input steps in the same order: the
+    row max, the count of entries equal to it, exp(row - max) with those
+    entries zeroed, the pairwise row sum divided by the count (scipy skips a
+    zero sum, which the division leaves zero), and log1p(sum) + log(count) +
+    max.  Zeroing the max entries after the exp, where scipy sets them to
+    -inf before it, turns a row with a NaN, a +inf or only -inf entries into
+    NaN, +inf or -inf: what scipy's fallback ln sum exp(row) returns for
+    it.  No other row can come out non-finite, so no fallback is needed.
+    """
+    xs = np.asarray(xs, dtype=float)
+    flat = xs.ravel()
+    out = np.empty(flat.size)
+    rows = max(1, _LSE_BLOCK // a.size)
+    buf = np.empty((min(rows, flat.size), a.size))
+    with np.errstate(all="ignore"):
+        for start in range(0, flat.size, rows):
+            block = flat[start:start + rows]
+            mat = buf[:block.size]
+            np.multiply.outer(block, a, out=mat)
+            mat += b
+            top = mat.max(axis=1)
+            at_top = mat == top[:, None]
+            count = np.count_nonzero(at_top, axis=1)
+            mat -= top[:, None]
+            np.exp(mat, out=mat)
+            mat[at_top] = 0.0
+            out[start:start + block.size] = (
+                np.log1p(mat.sum(axis=1) / count) + np.log(count) + top)
+    return out.reshape(xs.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,20 @@
 import math
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp
 
-from glsnum.measure import (DiscreteMeasureSpace, ess_sup, integrate, load_csv,
-                            load_json, lp_norm, lp_norms, make_space,
-                            parse_space_dict, probability_space,
-                            uniform_probability_space)
+import glsnum
+from glsnum.measure import (_LSE_BLOCK, DiscreteMeasureSpace, _outer_logsumexp,
+                            ess_sup, integrate, load_csv, load_json, lp_norm,
+                            lp_norms, make_space, parse_space_dict,
+                            probability_space, uniform_probability_space)
 
 weights_st = st.lists(st.floats(min_value=0.05, max_value=5.0),
                       min_size=2, max_size=8)
@@ -112,8 +118,11 @@ def test_lp_norm_two_atom_closed_form():
 def test_lp_norm_rejects_p_below_one():
     s = make_space([1.0])
     f = s.function([1.0])
-    with pytest.raises(ValueError):
-        lp_norm(f, 0.5, s)
+    for p in (0.5, math.nan):
+        with pytest.raises(ValueError):
+            lp_norm(f, p, s)
+        with pytest.raises(ValueError):
+            lp_norms(f, [2.0, p], s)
 
 
 def test_lp_norm_log_domain_matches_direct():
@@ -141,6 +150,70 @@ def test_lp_norms_vectorized_matches_scalar(rng):
     vec = lp_norms(f, ps, s)
     for p, v in zip(ps, vec):
         assert v == pytest.approx(lp_norm(f, float(p), s), rel=1e-12)
+
+
+_SPECIALS = (math.nan, math.inf, -math.inf, 1e308, -1e308)
+
+
+@given(n=st.sampled_from([1, 3, 130, _LSE_BLOCK + 3]),
+       blocks=st.integers(0, 2), tail=st.integers(1, 3), ties=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1),
+       specials=st.lists(st.tuples(st.sampled_from(["xs", "a", "b"]),
+                                   st.integers(0, 10 ** 6),
+                                   st.sampled_from(_SPECIALS)), max_size=4))
+@example(n=130, blocks=1, tail=2, ties=True, seed=0,
+         specials=[("xs", 0, math.inf), ("xs", 1, 1e308), ("a", 5, math.nan),
+                   ("b", 3, -math.inf), ("a", 9, math.inf)])
+@example(n=_LSE_BLOCK + 3, blocks=0, tail=1, ties=False, seed=1, specials=[])
+@settings(max_examples=60, deadline=None)
+def test_outer_logsumexp_bit_identical_to_scipy(n, blocks, tail, ties, seed,
+                                                specials):
+    # Row counts straddle block boundaries (a.size above the block gives one
+    # row per block); integer values tie at the row max.
+    m = blocks * max(1, _LSE_BLOCK // n) + tail
+    rng = np.random.default_rng(seed)
+    if ties:
+        xs, a, b = (rng.integers(-3, 4, size=k).astype(float)
+                    for k in (m, n, n))
+    else:
+        xs = rng.uniform(-60.0, 60.0, m)
+        a = rng.normal(0.0, 10.0, n)
+        b = rng.normal(0.0, 5.0, n)
+    arrays = {"xs": xs, "a": a, "b": b}
+    for name, i, v in specials:
+        arrays[name][i % arrays[name].size] = v
+    got = _outer_logsumexp(xs, a, b)
+    with np.errstate(all="ignore"):
+        expected = logsumexp(np.multiply.outer(xs, a) + b, axis=-1)
+        one_row = logsumexp(xs[0] * a + b)
+    assert np.array_equal(got, expected, equal_nan=True)
+    if m == 1:  # the one-exponent lp_norm path
+        assert np.array_equal(got[0], one_row, equal_nan=True)
+
+
+def test_lp_norms_wide_scan_memory():
+    n = 100_000
+    s = probability_space(np.random.default_rng(7).uniform(0.1, 1.0, n))
+    f = s.function(np.random.default_rng(8).standard_t(3, n))
+    ps = np.geomspace(1.0, 200.0, 256)
+    f.value_array, s.weight_array  # cached before tracing
+    tracemalloc.start()
+    try:
+        lp_norms(f, ps, s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6
+
+
+def test_import_does_not_load_scipy():
+    src = str(Path(glsnum.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         f"import sys; sys.path.insert(0, {src!r}); import glsnum; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 @given(weights=weights_st, p=st.floats(min_value=1.0, max_value=40.0),
