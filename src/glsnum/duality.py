@@ -13,7 +13,9 @@ space the associate norm itself is a finite-dimensional optimization
 
 which this module solves by multi-start hill climbing on the scale-invariant
 ratio (f . t) / ||f||_G, seeded with the power-density profiles that make the
-classical Hoelder inequality tight.  The oracle is a certified lower bound;
+classical Hoelder inequality tight.  Each iterate of a climb is scored (one
+grand-norm scan) once, and a climb that never leaves its seed is not
+rescored.  The oracle is a certified lower bound;
 together with the adjacent-function upper bound it brackets the associate
 norm, and for the constant-one family the two meet (the bound is attained).
 
@@ -30,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from glsnum.convex import GrowthReport, growth_report_for_psi
-from glsnum.glnorm import DEFAULT_GRID, gls_norm
+from glsnum.glnorm import DEFAULT_GRID, GlsNormResult, gls_norm
 from glsnum.measure import (DiscreteMeasureSpace, MeasurableFunction,
                             _check_bound, lp_norm, lp_norms)
 from glsnum.orlicz import (YoungFunction, build_N, conjugate_young_function,
@@ -113,16 +115,19 @@ def associate_bound(g: MeasurableFunction, psi: PsiFunction,
                                 hit_cap=hit_cap)
 
 
-def _ratio_and_result(fv: np.ndarray, t: np.ndarray,
-                      space: DiscreteMeasureSpace, psi: PsiFunction,
-                      grid: GridSpec) -> float:
+def _score(fv: np.ndarray, t: np.ndarray, space: DiscreteMeasureSpace,
+           psi: PsiFunction, grid: GridSpec
+           ) -> tuple[float, float, GlsNormResult | None]:
+    """(ratio, pairing, grand norm) of fv: ratio (f . t) / ||f||_G, or 0.0
+    when the pairing is not positive (no norm is computed then) or the norm
+    is not positive and finite."""
     num = float(fv @ t)
     if num <= 0.0:
-        return 0.0
+        return 0.0, num, None
     res = gls_norm(space.function(fv), psi, space, grid)
     if res.value <= 0.0 or not math.isfinite(res.value):
-        return 0.0
-    return num / res.value
+        return 0.0, num, res
+    return num / res.value, num, res
 
 
 def _gls_subgradient(fv: np.ndarray, space: DiscreteMeasureSpace,
@@ -145,35 +150,37 @@ def _gls_subgradient(fv: np.ndarray, space: DiscreteMeasureSpace,
 
 def _hill_climb(fv: np.ndarray, t: np.ndarray, space: DiscreteMeasureSpace,
                 psi: PsiFunction, grid: GridSpec,
-                iterations: int) -> tuple[float, np.ndarray]:
-    best_val = _ratio_and_result(fv, t, space, psi, grid)
-    best_f = fv.copy()
-    cur = fv.copy()
-    cur_val = best_val
+                iterations: int) -> np.ndarray:
+    """Best iterate of a gradient ascent on ln (f . t) / ||f||_G from fv.
+
+    Each iterate is scored once: the current point carries the score its
+    step computed.  Returns fv itself when no step improves on it.
+    """
+    cur_val, cur_num, cur_res = _score(fv, t, space, psi, grid)
+    best_val, best_f = cur_val, fv
+    cur = fv
     eta = 0.5
     for _ in range(iterations):
-        num = float(cur @ t)
-        res = gls_norm(space.function(cur), psi, space, grid)
-        if num <= 0 or res.value <= 0:
+        if cur_num <= 0 or cur_res.value <= 0:
             break
-        d = _gls_subgradient(cur, space, psi, res.argmax_p)
-        grad = t / num - d / res.value  # gradient of ln(ratio)
+        d = _gls_subgradient(cur, space, psi, cur_res.argmax_p)
+        grad = t / cur_num - d / cur_res.value  # gradient of ln(ratio)
         scale = float(np.max(np.abs(grad)))
         if scale == 0 or not math.isfinite(scale):
             break
         step = grad / scale * float(np.max(np.abs(cur)))
         cand = cur + eta * step
-        cand_val = _ratio_and_result(cand, t, space, psi, grid)
+        cand_val, cand_num, cand_res = _score(cand, t, space, psi, grid)
         if cand_val > cur_val:
-            cur, cur_val = cand, cand_val
+            cur, cur_val, cur_num, cur_res = cand, cand_val, cand_num, cand_res
             eta = min(eta * 1.3, 1.0)
             if cand_val > best_val:
-                best_val, best_f = cand_val, cand.copy()
+                best_val, best_f = cand_val, cand
         else:
             eta *= 0.5
             if eta < 1e-6:
                 break
-    return best_val, best_f
+    return best_f
 
 
 def _unit_ball_pairing_sup(t: np.ndarray, psi: PsiFunction,
@@ -214,15 +221,16 @@ def _unit_ball_pairing_sup(t: np.ndarray, psi: PsiFunction,
     # small refinement grid for the climb; the final value is re-scored below
     coarse = GridSpec(points=96, cap=grid.cap, rel_tol=1e-9)
     scored = sorted(
-        ((_ratio_and_result(s, t, space, psi, grid), i) for i, s in
+        ((_score(s, t, space, psi, grid)[0], i) for i, s in
          enumerate(seeds)), reverse=True)
     best_val = scored[0][0]
-    best_f = seeds[scored[0][1]]
     for _, idx in scored[:2]:
-        val, fv = _hill_climb(seeds[idx], t, space, psi, coarse, iterations)
-        rescored = _ratio_and_result(fv, t, space, psi, grid)
+        fv = _hill_climb(seeds[idx], t, space, psi, coarse, iterations)
+        if fv is seeds[idx]:
+            continue  # its full-grid score is in `scored`, <= best_val
+        rescored = _score(fv, t, space, psi, grid)[0]
         if rescored > best_val:
-            best_val, best_f = rescored, fv
+            best_val = rescored
     return float(best_val)
 
 

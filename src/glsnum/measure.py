@@ -223,7 +223,8 @@ def lp_norms(f: MeasurableFunction, ps,
     Each ln sum w|f|^p is a row-wise log-sum-exp over the nonzero atoms,
     computed a block of exponents at a time, so memory stays near 2^16
     doubles however many exponents and atoms there are.  Agrees with lp_norm
-    to near machine precision; meant for the inner loops of sup/inf scans.
+    to near machine precision, and exactly at p = inf (the essential
+    supremum); meant for the inner loops of sup/inf scans.
     """
     space = _check_bound(f, space)
     ps = np.asarray(ps, dtype=float)
@@ -235,7 +236,10 @@ def lp_norms(f: MeasurableFunction, ps,
         return np.zeros_like(ps)
     logs = np.log(absvals[nz])
     logw = np.log(space.weight_array[nz])
-    return np.exp(_outer_logsumexp(ps, logs, logw) / ps)
+    out = np.full(ps.shape, np.max(absvals))  # p = inf: the ess sup
+    fin = ~np.isinf(ps)
+    out[fin] = np.exp(_outer_logsumexp(ps[fin], logs, logw) / ps[fin])
+    return out
 
 
 def _outer_logsumexp(xs, a, b) -> np.ndarray:

@@ -104,13 +104,19 @@ class PsiFunction:
 
     def __call__(self, p):
         arr = np.asarray(p, dtype=float)
-        scalar = arr.ndim == 0
-        x = np.atleast_1d(arr).astype(float)
-        inside = self.in_support(x)
-        out = np.full(x.shape, math.inf)
+        if arr.ndim == 0:
+            # one point: Python comparisons (NaN fails them all), then the
+            # same one-element interior call the masked path would make
+            x = float(arr)
+            if (self.a < x < self.b or (self.include_a and x == self.a)
+                    or (self.include_b and x == self.b)):
+                return float(self.interior(np.array([x]))[0])
+            return math.inf
+        inside = self.in_support(arr)
+        out = np.full(arr.shape, math.inf)
         if inside.any():
-            out[inside] = self.interior(x[inside])
-        return float(out[0]) if scalar else out
+            out[inside] = self.interior(arr[inside])
+        return out
 
     def effective_interval(self, cap: float) -> tuple[float, float, bool]:
         """Support clipped to [a, cap]; the flag records whether clipping cut

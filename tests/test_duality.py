@@ -19,13 +19,18 @@ from glsnum import (
     lp_norm,
     make_extremal_psi,
     make_power_psi,
+    make_space,
     make_sv_psi,
+    make_table_psi,
     probability_space,
+    psi_from_phi,
+    quadratic_phi,
     setfunction_norm,
     step_integral,
     theorem_bound_check,
     verify_representation,
 )
+import glsnum.duality
 from conftest import random_function, random_space
 
 SV_LOG = lambda p: np.log(math.e - 1.0 + np.asarray(p, dtype=float))
@@ -254,3 +259,78 @@ def test_theorem_bound_check(rng):
     assert rep.margin >= -1e-6
     assert set(rep.to_dict()) == {"oracle", "bound", "margin", "passed"}
     assert not theorem_bound_check(g, psi, 1e-9 * c_high, space).passed
+
+
+# ---------------------------------------------------------------------------
+# the climb's bookkeeping: one grand-norm scan per iterate, pinned outputs
+# ---------------------------------------------------------------------------
+
+# (name, psi factory, weights, density g, set-function atom values,
+#  float.hex of the oracle on g, float.hex of the set-function norm).
+# The pins are exact bits of one numpy build on one CPU family (vectorized
+# exp/log may round differently elsewhere); where they differ, recompute them
+# at the parent commit of the change under test.
+_PINNED = [
+    ("extremal", lambda: make_extremal_psi(3.0), [0.2, 0.3, 0.1, 0.4],
+     [1.5, -0.4, 2.2, 0.7], [0.3, -1.1, 0.8, 0.05],
+     "0x1.00aa180bdea96p+0", "0x1.69e786f79e195p+1"),
+    ("power-2", lambda: make_power_psi(2.0),
+     [0.5, 1.0, 0.25, 0.75, 1.5, 0.125],
+     [2.5, -1.25, 0.5, 3.0, -0.1, 1.75], [0.6, 0.2, -0.9, 1.3, 0.45, -0.3],
+     "0x1.7ffffffffffffp+1", "0x1.85a1873bcd899p+1"),
+    ("power-1", lambda: make_power_psi(1.0), [1.0] * 12,
+     [0.1 * k - 0.55 + 0.013 * k * k for k in range(12)],
+     [(-1.0) ** k * (0.2 + 0.07 * k) for k in range(12)],
+     "0x1.0fbe76c8b4396p+1", "0x1.f0a3d6400b51cp-1"),
+    ("table", lambda: make_table_psi([1.0, 2.0, 5.0, 20.0, 200.0],
+                                     [1.0, 1.2, 1.5, 2.4, 4.0]),
+     [0.1, 0.2, 0.3, 0.15, 0.25], [3.0, -0.5, 1.0, 0.25, -2.0],
+     [0.5, 0.5, -0.25, 1.5, 0.75],
+     "0x1.c86d48b460646p+0", "0x1.53b135dfab6b3p+2"),
+    ("companion", lambda: psi_from_phi(quadratic_phi()), [0.3, 0.3, 0.4],
+     [1.0, -2.0, 0.5], [0.7, 0.1, -0.4],
+     "0x1.b72b0398a9d1ep+0", "0x1.f9ff8ee46c86ap+0"),
+    ("power-3-two-atoms", lambda: make_power_psi(3.0), [0.7, 0.3],
+     [4.0, -1.0], [0.2, 0.9],
+     "0x1.ff99ac7c1ab1bp+1", "0x1.029c65a1691d4p+1"),
+]
+
+
+def _pinned_inputs(case):
+    _, factory, weights, g, atoms, _, _ = case
+    space = make_space(weights)
+    return factory(), space, space.function(g), SetFunction(space,
+                                                           tuple(atoms))
+
+
+@pytest.mark.parametrize("case", [c for c in _PINNED
+                                  if c[0] != "companion"],
+                         ids=lambda c: c[0])
+def test_oracle_scores_each_iterate_once(monkeypatch, case):
+    # every grand-norm scan inside one oracle or set-function-norm call is
+    # of a new (point, grid) pair: the climb reuses the score it holds (the
+    # slow companion case runs the same climb and is left out)
+    keys = []
+    real = glsnum.duality.gls_norm
+
+    def recording(f, psi, space, grid):
+        keys.append((f.value_array.tobytes(), grid))
+        return real(f, psi, space, grid)
+
+    monkeypatch.setattr(glsnum.duality, "gls_norm", recording)
+    psi, space, g, gamma = _pinned_inputs(case)
+    for run in (lambda: associate_norm_oracle(g, psi, space),
+                lambda: setfunction_norm(gamma, psi, space)):
+        keys.clear()
+        run()
+        assert keys
+        assert len(set(keys)) == len(keys)
+
+
+@pytest.mark.parametrize("case", _PINNED, ids=lambda c: c[0])
+def test_oracle_and_setfunction_norm_pinned(case):
+    # bit-level pins of both optimizations; a change to the climb, its
+    # seeds, grids or scoring that moves any output bit shows here
+    psi, space, g, gamma = _pinned_inputs(case)
+    assert associate_norm_oracle(g, psi, space).hex() == case[5]
+    assert setfunction_norm(gamma, psi, space).hex() == case[6]

@@ -152,6 +152,19 @@ def test_lp_norms_vectorized_matches_scalar(rng):
         assert v == pytest.approx(lp_norm(f, float(p), s), rel=1e-12)
 
 
+@pytest.mark.parametrize("values", [[1.0, -2.0, 0.5], [0.0, 0.0, 0.0]])
+def test_lp_norms_agrees_with_lp_norm_at_every_exponent(values):
+    # p = inf is the essential supremum on both paths, not NaN
+    s = probability_space([0.2, 0.5, 0.3])
+    f = s.function(values)
+    ps = [1.0, 2.0, 7.5, math.inf]
+    for p, v in zip(ps, lp_norms(f, ps, s)):
+        if math.isinf(p):
+            assert v == lp_norm(f, p, s) == max(abs(x) for x in values)
+        else:
+            assert v == pytest.approx(lp_norm(f, p, s), rel=1e-12, abs=1e-12)
+
+
 _SPECIALS = (math.nan, math.inf, -math.inf, 1e308, -1e308)
 
 

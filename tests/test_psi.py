@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import json
 import math
 
@@ -6,12 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from glsnum.bphi import psi_from_phi, quadratic_phi
 from glsnum.measure import probability_space
-from glsnum.psi import (AdjacentFunction, PsiFunction, adjacent,
-                        conjugate_exponent, export_psi_csv, load_psi_csv,
-                        make_exp_psi, make_extremal_psi, make_power_psi,
-                        make_sv_psi, make_table_psi, natural_function,
-                        psi_from_descriptor)
+from glsnum.psi import (SLOWLY_VARYING, AdjacentFunction, PsiFunction,
+                        adjacent, conjugate_exponent, export_psi_csv,
+                        load_psi_csv, make_exp_psi, make_extremal_psi,
+                        make_power_psi, make_sv_psi, make_table_psi,
+                        natural_function, psi_from_descriptor)
 
 # ---------------------------------------------------------------------------
 # conjugate exponents
@@ -220,3 +223,47 @@ def test_descriptor_table_inline():
                                           "psi": [1.0, 2.0, 4.0]}})
     assert float(psi(10.0)) == pytest.approx(2.0)
     assert psi(101.0) == math.inf
+
+
+# ---------------------------------------------------------------------------
+# the scalar call path
+# ---------------------------------------------------------------------------
+
+_FAST_PATH_FACTORIES = {
+    "extremal": lambda: make_extremal_psi(3.0),
+    "power": lambda: make_power_psi(2.0),
+    "exp": lambda: make_exp_psi(1.5, 0.7),
+    "sv": lambda: make_sv_psi(2.0, SLOWLY_VARYING["log"]),
+    "table": lambda: make_table_psi([1.0, 2.0, 5.0, 20.0],
+                                    [1.0, 1.3, 1.8, 3.0]),
+    "companion": lambda: psi_from_phi(quadratic_phi()),
+}
+
+
+@functools.cache
+def _fast_path_psi(name):
+    return _FAST_PATH_FACTORIES[name]()
+
+
+@given(name=st.sampled_from(sorted(_FAST_PATH_FACTORIES)),
+       include_a=st.booleans(), include_b=st.booleans(),
+       where=st.sampled_from(["interior", "a", "b", "below_a", "above_b",
+                              "nan", "inf", "-inf"]),
+       u=st.floats(min_value=0.0, max_value=1.0),
+       form=st.sampled_from([float, np.float64, np.array]))
+@settings(max_examples=400, deadline=None)
+def test_scalar_call_matches_one_element_array(name, include_a, include_b,
+                                               where, u, form):
+    # a scalar evaluation is a Python float, bit-identical to the masked
+    # array path on a one-element array, for every endpoint flag
+    base = _fast_path_psi(name)
+    psi = dataclasses.replace(base, include_a=include_a,
+                              include_b=include_b and math.isfinite(base.b))
+    hi = min(psi.b, 300.0)
+    p = {"interior": psi.a + u * (hi - psi.a), "a": psi.a, "b": psi.b,
+         "below_a": math.nextafter(psi.a, -math.inf),
+         "above_b": math.nextafter(psi.b, math.inf),
+         "nan": math.nan, "inf": math.inf, "-inf": -math.inf}[where]
+    out = psi(form(p))
+    assert type(out) is float
+    assert out == psi(np.array([p]))[0]
