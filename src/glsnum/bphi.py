@@ -26,8 +26,8 @@ from glsnum.measure import (DiscreteMeasureSpace, MeasurableFunction,
                             _outer_logsumexp)
 from glsnum.psi import PsiFunction
 from glsnum.search import (GridSpec, NoFeasiblePoint, NoInfeasiblePoint,
-                           grid_refine_max, increasing_inverse, log_grid,
-                           min_feasible, min_feasible_batch)
+                           _on_interval, grid_refine_max, increasing_inverse,
+                           log_grid, min_feasible, min_feasible_batch)
 
 __all__ = [
     "PhiFunction",
@@ -87,14 +87,9 @@ class PhiFunction:
             raise ValueError(f"{self.label}: midpoint convexity fails")
 
     def __call__(self, lam):
-        arr = np.asarray(lam, dtype=float)
-        scalar = arr.ndim == 0
-        x = np.abs(np.atleast_1d(arr).astype(float))
-        out = np.full(x.shape, math.inf)
-        inside = x < self.lambda0
-        if inside.any():
-            out[inside] = self.core(x[inside])
-        return float(out[0]) if scalar else out
+        # core(|lam|) where |lam| < lambda0
+        return _on_interval(np.abs(lam), -self.lambda0, self.lambda0, False,
+                            False, self.core)
 
     def curvature_at_zero(self, eps: float = 1e-5) -> float:
         """Second difference at 0 (diagnostic; finite positive curvature is
@@ -285,10 +280,13 @@ def psi_from_phi(phi: PhiFunction, *, normalize: bool = True,
 
     The support is [1, b) with b the supremum of phi over its interval
     (exponents beyond the range of phi are outside the support); with
-    normalize the function is rescaled to infimum 1 over [1, p_max].  Each
-    evaluation inverts phi at all its points in one batched bracket-and-
-    bisect pass that gives every point exactly the scalar
-    increasing_inverse(phi, p, rel_tol=inverse_tol).
+    normalize the function is rescaled to infimum 1 over [1, p_max].  An
+    evaluation at several points inverts phi at all of them in one batched
+    bracket-and-bisect pass that gives every point exactly the scalar
+    increasing_inverse(phi, p, rel_tol=inverse_tol); an evaluation at one
+    point (a scalar psi call, and each step of the normalization polish)
+    runs that scalar inversion, about 44 scalar phi calls, each a Python
+    float with no masked array.
     """
     sup_phi = phi.sup_value
     if sup_phi <= 1.0:

@@ -18,8 +18,8 @@ from typing import Callable
 import numpy as np
 
 from glsnum.psi import PsiFunction
-from glsnum.search import (GridSpec, grid_refine_max, grid_refine_max_batch,
-                           linear_grid)
+from glsnum.search import (GridSpec, _on_interval, grid_refine_max,
+                           grid_refine_max_batch, linear_grid)
 
 __all__ = [
     "RealFunction1D",
@@ -62,18 +62,8 @@ class RealFunction1D:
             raise ValueError(f"empty domain [{self.lo}, {self.hi}]")
 
     def __call__(self, z):
-        arr = np.asarray(z, dtype=float)
-        scalar = arr.ndim == 0
-        x = np.atleast_1d(arr).astype(float)
-        inside = (x > self.lo) & (x < self.hi)
-        if self.lo_included:
-            inside = inside | (x == self.lo)
-        if self.hi_included:
-            inside = inside | (x == self.hi)
-        out = np.full(x.shape, math.inf)
-        if inside.any():
-            out[inside] = self.fn(x[inside])
-        return float(out[0]) if scalar else out
+        return _on_interval(z, self.lo, self.hi, self.lo_included,
+                            self.hi_included, self.fn)
 
     def scan_grid(self, points: int) -> np.ndarray:
         span = self.hi - self.lo

@@ -23,7 +23,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from glsnum.measure import DiscreteMeasureSpace, MeasurableFunction, lp_norms
-from glsnum.search import GridSpec, grid_refine_max, log_grid
+from glsnum.search import (GridSpec, _interval_mask, _on_interval,
+                           grid_refine_max, log_grid)
 
 __all__ = [
     "PsiFunction",
@@ -94,29 +95,12 @@ class PsiFunction:
             raise ValueError("an infinite right endpoint cannot be included")
 
     def in_support(self, p) -> np.ndarray:
-        x = np.asarray(p, dtype=float)
-        inside = (x > self.a) & (x < self.b)
-        if self.include_a:
-            inside = inside | (x == self.a)
-        if self.include_b:
-            inside = inside | (x == self.b)
-        return inside
+        return _interval_mask(np.asarray(p, dtype=float), self.a, self.b,
+                              self.include_a, self.include_b)
 
     def __call__(self, p):
-        arr = np.asarray(p, dtype=float)
-        if arr.ndim == 0:
-            # one point: Python comparisons (NaN fails them all), then the
-            # same one-element interior call the masked path would make
-            x = float(arr)
-            if (self.a < x < self.b or (self.include_a and x == self.a)
-                    or (self.include_b and x == self.b)):
-                return float(self.interior(np.array([x]))[0])
-            return math.inf
-        inside = self.in_support(arr)
-        out = np.full(arr.shape, math.inf)
-        if inside.any():
-            out[inside] = self.interior(arr[inside])
-        return out
+        return _on_interval(p, self.a, self.b, self.include_a, self.include_b,
+                            self.interior)
 
     def effective_interval(self, cap: float) -> tuple[float, float, bool]:
         """Support clipped to [a, cap]; the flag records whether clipping cut
@@ -158,14 +142,14 @@ class AdjacentFunction:
 
     def __call__(self, q):
         arr = np.asarray(q, dtype=float)
-        scalar = arr.ndim == 0
-        x = np.atleast_1d(arr).astype(float)
-        if np.any(x < 1.0):
+        if np.any(arr < 1.0):
             raise ValueError("adjacent functions live on exponents q >= 1")
-        vals = self.psi(_conjugate_array(x))
-        vals = np.atleast_1d(np.asarray(vals, dtype=float))
-        out = np.where(np.isinf(vals), 0.0, 1.0 / vals)
-        return float(out[0]) if scalar else out
+        if arr.ndim == 0:
+            # the scalar paths of conjugate_exponent and psi
+            val = self.psi(conjugate_exponent(float(arr)))
+            return 0.0 if math.isinf(val) else 1.0 / val
+        vals = self.psi(_conjugate_array(arr))
+        return np.where(np.isinf(vals), 0.0, 1.0 / vals)
 
     def scan_grid(self, grid: GridSpec) -> tuple[np.ndarray, bool]:
         """Log-spaced grid over the domain, capped at grid.cap from above."""

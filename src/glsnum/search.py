@@ -72,6 +72,44 @@ def linear_grid(lo: float, hi: float, n: int) -> np.ndarray:
     return np.linspace(lo, hi, n)
 
 
+def _interval_mask(x: np.ndarray, lo: float, hi: float, include_lo: bool,
+                   include_hi: bool) -> np.ndarray:
+    """Membership of each element of x in the interval from lo to hi, each
+    endpoint included as its flag says; NaN is never a member."""
+    inside = (x > lo) & (x < hi)
+    if include_lo:
+        inside = inside | (x == lo)
+    if include_hi:
+        inside = inside | (x == hi)
+    return inside
+
+
+def _on_interval(x, lo: float, hi: float, include_lo: bool, include_hi: bool,
+                 interior: Callable[[np.ndarray], np.ndarray]):
+    """interior(x) on the interval from lo to hi, +inf off it: the call of
+    every function given on an interval (generating and rate functions, the
+    h of the Legendre transforms).
+
+    interior takes a 1-d array of member points.  An array x gives an array
+    of its shape; a 0-d x (a float, numpy scalar or 0-d array) gives a Python
+    float from Python comparisons and one one-element interior call, the
+    call the array path makes for a one-element array, so both paths return
+    the same bits.
+    """
+    arr = np.asarray(x, dtype=float)
+    if arr.ndim == 0:
+        x = float(arr)
+        if (lo < x < hi or (include_lo and x == lo)
+                or (include_hi and x == hi)):
+            return float(interior(np.array([x]))[0])
+        return math.inf
+    inside = _interval_mask(arr, lo, hi, include_lo, include_hi)
+    out = np.full(arr.shape, math.inf)
+    if inside.any():
+        out[inside] = interior(arr[inside])
+    return out
+
+
 def golden_max(fn: Callable[[float], float], a: float, b: float,
                tol: float) -> tuple[float, float]:
     """Golden-section maximization of fn on [a, b]; returns (x, fn(x)).

@@ -57,6 +57,35 @@ def test_phi_even_and_domain():
     assert math.isinf(out[2])
 
 
+@given(family=st.sampled_from(["quadratic", "power"]),
+       lambda0=st.sampled_from([math.inf, 0.75, 3.0]),
+       where=st.sampled_from(["interior", "-interior", "0", "-0", "l0",
+                              "-l0", "below_l0", "above_l0", "above_-l0",
+                              "below_-l0", "nan", "inf", "-inf"]),
+       u=st.floats(min_value=0.0, max_value=1.0),
+       form=st.sampled_from([float, np.float64, np.array]))
+@settings(max_examples=400, deadline=None)
+def test_phi_scalar_call_matches_one_element_array(family, lambda0, where, u,
+                                                   form):
+    # a scalar evaluation is a Python float with the bits of the masked
+    # array path on a one-element array, on both sides of the open ends
+    phi = quadratic_phi(lambda0) if family == "quadratic" else power_phi(
+        2.5, lambda0)
+    inner = u * min(lambda0, 40.0)
+    lam = {"interior": inner, "-interior": -inner, "0": 0.0, "-0": -0.0,
+           "l0": lambda0, "-l0": -lambda0,
+           "below_l0": math.nextafter(lambda0, 0.0),
+           "above_l0": math.nextafter(lambda0, math.inf),
+           "above_-l0": math.nextafter(-lambda0, 0.0),
+           "below_-l0": math.nextafter(-lambda0, -math.inf),
+           "nan": math.nan, "inf": math.inf, "-inf": -math.inf}[where]
+    with np.errstate(over="ignore"):  # phi of the largest float is inf
+        out = phi(form(lam))
+        ref = phi(np.array([lam]))[0]
+    assert type(out) is float
+    assert out.hex() == float(ref).hex()
+
+
 def test_phi_diagnostics():
     quad = quadratic_phi()
     assert quad.curvature_at_zero() == pytest.approx(1.0, rel=1e-6)
@@ -230,6 +259,34 @@ def test_psi_from_phi_raw_scale():
     psi = psi_from_phi(quadratic_phi(), normalize=False)
     ps = np.array([1.0, 4.0, 50.0])
     np.testing.assert_allclose(psi(ps), np.sqrt(ps / 2.0), rtol=1e-8)
+
+
+# float.hex of the companion psi at p = 1, 2, 7.3 and 50, computed before the
+# rate functions had a scalar call path; quadratic_phi(40) agrees with
+# quadratic_phi() since phi^(-1)(p) = sqrt(2p) for every p < 800 on both
+_COMPANION_PINS = {
+    "quadratic": ["0x1.0000000000000p+0", "0x1.6a09e667f3bcdp+0",
+                  "0x1.59d642bc4f91dp+1", "0x1.c48c6001eff93p+2"],
+    "quadratic-40": ["0x1.0000000000000p+0", "0x1.6a09e667f3bcdp+0",
+                     "0x1.59d642bc4f91dp+1", "0x1.c48c6001eff93p+2"],
+    "power-2.5-25": ["0x1.000000000049cp+0", "0x1.8406003b2ab43p+0",
+                     "0x1.a5e4f29ddd46dp+1", "0x1.4e9acaca3a59bp+3"],
+}
+_COMPANION_PHIS = {"quadratic": lambda: quadratic_phi(),
+                   "quadratic-40": lambda: quadratic_phi(40.0),
+                   "power-2.5-25": lambda: power_phi(2.5, 25.0)}
+
+
+@pytest.mark.parametrize("name", sorted(_COMPANION_PINS))
+def test_psi_from_phi_pinned(name):
+    # exact bits of the single-point inversions (the normalization polish
+    # runs them) and of the batched inversion of an array
+    psi = psi_from_phi(_COMPANION_PHIS[name]())
+    ps = [1.0, 2.0, 7.3, 50.0]
+    one_at_a_time = [float(psi.interior(np.array([p]))[0]).hex() for p in ps]
+    assert one_at_a_time == _COMPANION_PINS[name]
+    assert [float(v).hex() for v in psi.interior(np.array(ps))] == (
+        _COMPANION_PINS[name])
 
 
 def test_psi_from_phi_needs_enough_range():

@@ -1,7 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from glsnum.convex import (ConjugatePoint, RealFunction1D,
                            check_growth_condition, check_sv_condition,
@@ -19,6 +22,35 @@ def test_real_function_domain_masking():
     assert h(4.5) == math.inf
     arr = np.asarray(h(np.array([0.5, 2.0, 5.0])), dtype=float)
     assert math.isinf(arr[0]) and arr[1] == 4.0 and math.isinf(arr[2])
+
+
+_CUBIC = RealFunction1D(-1.5, 2.5, lambda z: np.exp(z) - z ** 3,
+                        label="cubic")
+
+
+@given(fn=st.sampled_from(["cubic", "h_power"]),
+       lo_included=st.booleans(), hi_included=st.booleans(),
+       where=st.sampled_from(["interior", "lo", "hi", "below_lo", "above_lo",
+                              "below_hi", "above_hi", "nan", "inf", "-inf"]),
+       u=st.floats(min_value=0.0, max_value=1.0),
+       form=st.sampled_from([float, np.float64, np.array]))
+@settings(max_examples=400, deadline=None)
+def test_real_function_scalar_call_matches_one_element_array(
+        fn, lo_included, hi_included, where, u, form):
+    # a scalar evaluation is a Python float with the bits of the masked
+    # array path on a one-element array, for all four endpoint inclusions
+    base = _CUBIC if fn == "cubic" else h_of(make_power_psi(2.0))
+    h = dataclasses.replace(base, lo_included=lo_included,
+                            hi_included=hi_included)
+    z = {"interior": h.lo + u * (h.hi - h.lo), "lo": h.lo, "hi": h.hi,
+         "below_lo": math.nextafter(h.lo, -math.inf),
+         "above_lo": math.nextafter(h.lo, math.inf),
+         "below_hi": math.nextafter(h.hi, -math.inf),
+         "above_hi": math.nextafter(h.hi, math.inf),
+         "nan": math.nan, "inf": math.inf, "-inf": -math.inf}[where]
+    out = h(form(z))
+    assert type(out) is float
+    assert out.hex() == float(h(np.array([z]))[0]).hex()
 
 
 def test_quadratic_self_conjugate():

@@ -267,3 +267,43 @@ def test_scalar_call_matches_one_element_array(name, include_a, include_b,
     out = psi(form(p))
     assert type(out) is float
     assert out == psi(np.array([p]))[0]
+
+
+@given(name=st.sampled_from(sorted(_FAST_PATH_FACTORIES)),
+       include_a=st.booleans(), include_b=st.booleans(),
+       where=st.sampled_from(["interior", "one", "lower", "upper",
+                              "below_lower", "above_lower", "below_upper",
+                              "above_upper", "below_one", "half", "nan",
+                              "inf", "-inf"]),
+       u=st.floats(min_value=0.0, max_value=1.0),
+       form=st.sampled_from([float, np.float64, np.array]))
+@settings(max_examples=400, deadline=None)
+def test_adjacent_scalar_call_matches_one_element_array(name, include_a,
+                                                        include_b, where, u,
+                                                        form):
+    # the adjacent function's scalar path gives the bits of its array path
+    # on a one-element array, and both reject exponents below 1
+    base = _fast_path_psi(name)
+    nu = adjacent(dataclasses.replace(
+        base, include_a=include_a,
+        include_b=include_b and math.isfinite(base.b)))
+    hi = min(nu.q_upper, 300.0)
+    q = {"interior": nu.q_lower + u * (hi - nu.q_lower), "one": 1.0,
+         "lower": nu.q_lower, "upper": nu.q_upper,
+         "below_lower": math.nextafter(nu.q_lower, -math.inf),
+         "above_lower": math.nextafter(nu.q_lower, math.inf),
+         "below_upper": math.nextafter(nu.q_upper, -math.inf),
+         "above_upper": math.nextafter(nu.q_upper, math.inf),
+         "below_one": math.nextafter(1.0, -math.inf), "half": 0.5,
+         "nan": math.nan, "inf": math.inf, "-inf": -math.inf}[where]
+    if q < 1.0:
+        with pytest.raises(ValueError):
+            nu(form(q))
+        with pytest.raises(ValueError):
+            nu(np.array([q]))
+        return
+    with np.errstate(over="ignore"):  # exp psi overflows to inf near q = 1
+        out = nu(form(q))
+        ref = nu(np.array([q]))[0]
+    assert type(out) is float
+    assert out.hex() == float(ref).hex()
