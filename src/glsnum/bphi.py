@@ -298,8 +298,7 @@ def psi_from_phi(phi: PhiFunction, *, normalize: bool = True,
     def raw(p: np.ndarray) -> np.ndarray:
         flat = np.atleast_1d(np.asarray(p, dtype=float))
         if flat.size == 1:  # one point: the scalar loop has less overhead
-            inv = increasing_inverse(lambda lam: float(phi(lam)),
-                                     float(flat[0]), x_hi=lam_hi,
+            inv = increasing_inverse(phi, float(flat[0]), x_hi=lam_hi,
                                      rel_tol=inverse_tol)
         else:
             # support points p >= 1 lie above phi(0) = 0, where
