@@ -34,7 +34,7 @@ import numpy as np
 from glsnum.convex import GrowthReport, growth_report_for_psi
 from glsnum.glnorm import DEFAULT_GRID, GlsNormResult, gls_norm
 from glsnum.measure import (DiscreteMeasureSpace, MeasurableFunction,
-                            _check_bound, _lp_norm_at, lp_norms)
+                            _check_bound, lp_norm, lp_norms)
 from glsnum.orlicz import (YoungFunction, build_N, conjugate_young_function,
                            luxemburg_norm)
 from glsnum.psi import PsiFunction, adjacent, conjugate_exponent
@@ -100,13 +100,11 @@ def associate_bound(g: MeasurableFunction, psi: PsiFunction,
         nu_vals = nu(qs)
         objective = np.where(nu_vals > 0, norms / nu_vals, math.inf)
 
-    norm_at = _lp_norm_at(np.abs(g.value_array), space.weight_array)
-
     def neg_scalar(q: float) -> float:
         nu_q = nu(q)
         if nu_q <= 0:
             return -math.inf
-        return -norm_at(q) / nu_q
+        return -lp_norm(g, q, space) / nu_q
 
     q_star, neg_value, _ = grid_refine_max(neg_scalar, qs, values=-objective,
                                            rel_tol=grid.rel_tol,
@@ -139,7 +137,7 @@ def _gls_subgradient(fv: np.ndarray, space: DiscreteMeasureSpace,
     domain."""
     w = space.weight_array
     absf = np.abs(fv)
-    lp = _lp_norm_at(absf, w)(p_star)
+    lp = lp_norm(space.function(fv), p_star, space)
     if lp <= 0:
         return np.zeros_like(fv)
     denom = psi(p_star)
@@ -222,19 +220,11 @@ def _unit_ball_pairing_sup(t: np.ndarray, psi: PsiFunction,
         seeds.append(sgn * prof)
     # small refinement grid for the climb; the final value is re-scored below
     coarse = GridSpec(points=96, cap=grid.cap, rel_tol=1e-9)
-    # equal seeds (all of them when |g| is constant) score and climb alike,
-    # so each distinct seed is scored once and climbed at most once
-    keys = [s.tobytes() for s in seeds]
-    score_of = {key: _score(s, t, space, psi, grid)[0]
-                for key, s in dict(zip(keys, seeds)).items()}
-    scored = sorted(((score_of[key], i) for i, key in enumerate(keys)),
-                    reverse=True)
+    scored = sorted(
+        ((_score(s, t, space, psi, grid)[0], i) for i, s in
+         enumerate(seeds)), reverse=True)
     best_val = scored[0][0]
-    climbed: set[bytes] = set()
     for _, idx in scored[:2]:
-        if keys[idx] in climbed:
-            continue
-        climbed.add(keys[idx])
         fv = _hill_climb(seeds[idx], t, space, psi, coarse, iterations)
         if fv is seeds[idx]:
             continue  # its full-grid score is in `scored`, <= best_val

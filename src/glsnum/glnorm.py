@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from glsnum.measure import (DiscreteMeasureSpace, MeasurableFunction,
-                            _check_bound, _lp_norm_at, lp_norms)
+                            _check_bound, lp_norm, lp_norms)
 from glsnum.psi import PsiFunction, natural_function
 from glsnum.search import GridSpec, grid_refine_max
 
@@ -63,13 +63,11 @@ def gls_norm(f: MeasurableFunction, psi: PsiFunction,
     with np.errstate(invalid="ignore"):
         objective = norms / psi(ps)
 
-    norm_at = _lp_norm_at(np.abs(f.value_array), space.weight_array)
-
     def scalar(p: float) -> float:
         denom = psi(p)
         if not np.isfinite(denom):
             return -np.inf
-        return norm_at(p) / denom
+        return lp_norm(f, p, space) / denom
 
     p_star, value, idx = grid_refine_max(
         scalar, ps, values=objective, rel_tol=grid.rel_tol, refine_in_log=True)

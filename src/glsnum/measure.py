@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -200,35 +199,21 @@ def lp_norm(f: MeasurableFunction, p: float,
     large p never overflows; p = inf is the essential supremum.
     """
     space = _check_bound(f, space)
-    return _lp_norm_at(np.abs(f.value_array), space.weight_array)(p)
-
-
-def _lp_norm_at(absvals: np.ndarray, w: np.ndarray) -> Callable[[float], float]:
-    """p -> lp_norm(f, p) for the f with |f| = absvals under the weights w.
-
-    A search over the exponents of one function builds this once: the work
-    that does not depend on p is done once (the logs of the log-domain
-    branch at its first use), and lp_norm is its one-call case.
-    """
-    logs: list[np.ndarray] = []
-
-    def norm_at(p: float) -> float:
-        p = float(p)
-        if not p >= 1.0:
-            raise ValueError(f"p-norms need p >= 1, got {p}")
-        if math.isinf(p):
-            return float(np.max(absvals))  # the essential supremum
-        if p <= LOG_DOMAIN_EXPONENT:
-            return float(np.dot(absvals ** p, w) ** (1.0 / p))
-        if not logs:
-            nz = absvals > 0.0
-            logs.extend((np.log(absvals[nz]), np.log(w[nz])))
-        if not logs[0].size:
-            return 0.0
-        ln_sum = _outer_logsumexp(np.array([p]), *logs)[0]
-        return float(math.exp(ln_sum / p))
-
-    return norm_at
+    p = float(p)
+    if not p >= 1.0:
+        raise ValueError(f"p-norms need p >= 1, got {p}")
+    if math.isinf(p):
+        return ess_sup(f, space)
+    absvals = np.abs(f.value_array)
+    w = space.weight_array
+    if p <= LOG_DOMAIN_EXPONENT:
+        return float(np.dot(absvals ** p, w) ** (1.0 / p))
+    nz = absvals > 0.0
+    if not nz.any():
+        return 0.0
+    ln_sum = _outer_logsumexp(np.array([p]), np.log(absvals[nz]),
+                              np.log(w[nz]))[0]
+    return float(math.exp(ln_sum / p))
 
 
 def lp_norms(f: MeasurableFunction, ps,

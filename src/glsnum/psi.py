@@ -142,14 +142,14 @@ class AdjacentFunction:
 
     def __call__(self, q):
         arr = np.asarray(q, dtype=float)
-        if np.any(arr < 1.0):
+        scalar = arr.ndim == 0
+        x = np.atleast_1d(arr).astype(float)
+        if np.any(x < 1.0):
             raise ValueError("adjacent functions live on exponents q >= 1")
-        if arr.ndim == 0:
-            # the scalar paths of conjugate_exponent and psi
-            val = self.psi(conjugate_exponent(float(arr)))
-            return 0.0 if math.isinf(val) else 1.0 / val
-        vals = self.psi(_conjugate_array(arr))
-        return np.where(np.isinf(vals), 0.0, 1.0 / vals)
+        vals = self.psi(_conjugate_array(x))
+        vals = np.atleast_1d(np.asarray(vals, dtype=float))
+        out = np.where(np.isinf(vals), 0.0, 1.0 / vals)
+        return float(out[0]) if scalar else out
 
     def scan_grid(self, grid: GridSpec) -> tuple[np.ndarray, bool]:
         """Log-spaced grid over the domain, capped at grid.cap from above."""

@@ -297,32 +297,19 @@ _PINNED = [
 
 
 def _pinned_inputs(case):
-    _, factory, weights, g, atoms = case[:5]
+    _, factory, weights, g, atoms, _, _ = case
     space = make_space(weights)
     return factory(), space, space.function(g), SetFunction(space,
                                                            tuple(atoms))
 
 
-# |g| constant on the atoms: every seed of the oracle is the same array (the
-# weights are powers of two, so g w / w is exactly g)
-_CONSTANT_MODULUS = [
-    ("constant-3", lambda: make_power_psi(2.0), [0.5, 1.0, 0.25],
-     [1.0, -1.0, 1.0], [0.5, -1.0, 0.25]),
-    ("constant-6", lambda: make_power_psi(2.0),
-     [0.5, 1.0, 0.25, 0.5, 2.0, 0.125],
-     [2.0, -2.0, 2.0, 2.0, -2.0, 2.0], [1.0, -2.0, 0.5, 1.0, -4.0, 0.25]),
-]
-
-
 @pytest.mark.parametrize("case", [c for c in _PINNED
-                                  if c[0] != "companion"]
-                         + _CONSTANT_MODULUS,
+                                  if c[0] != "companion"],
                          ids=lambda c: c[0])
 def test_oracle_scores_each_iterate_once(monkeypatch, case):
     # every grand-norm scan inside one oracle or set-function-norm call is
-    # of a new (point, grid) pair: the climb reuses the score it holds and
-    # equal seeds are scored and climbed once (the slow companion case runs
-    # the same climb and is left out)
+    # of a new (point, grid) pair: the climb reuses the score it holds (the
+    # slow companion case runs the same climb and is left out)
     keys = []
     real = glsnum.duality.gls_norm
 

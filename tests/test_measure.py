@@ -11,11 +11,10 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 import glsnum
-from glsnum.measure import (_LSE_BLOCK, DiscreteMeasureSpace, _lp_norm_at,
-                            _outer_logsumexp, ess_sup, integrate, load_csv,
-                            load_json, lp_norm, lp_norms, make_space,
-                            parse_space_dict, probability_space,
-                            uniform_probability_space)
+from glsnum.measure import (_LSE_BLOCK, DiscreteMeasureSpace, _outer_logsumexp,
+                            ess_sup, integrate, load_csv, load_json, lp_norm,
+                            lp_norms, make_space, parse_space_dict,
+                            probability_space, uniform_probability_space)
 
 weights_st = st.lists(st.floats(min_value=0.05, max_value=5.0),
                       min_size=2, max_size=8)
@@ -166,30 +165,19 @@ def test_lp_norms_agrees_with_lp_norm_at_every_exponent(values):
             assert v == pytest.approx(lp_norm(f, p, s), rel=1e-12, abs=1e-12)
 
 
-# float.hex of lp_norm on the space and function of the next test, computed
-# before the polish objectives shared its evaluator
+# float.hex of lp_norm on both sides of its log-domain switch at p = 50
 _LP_NORM_PINS = {1.0: "0x1.0666666666667p+0", 2.0: "0x1.82a8500794e6cp+0",
                  7.3: "0x1.344a05b8d9941p+1", 50.0: "0x1.73d619f7721bep+1",
                  50.5: "0x1.73f471831e0c2p+1", 120.0: "0x1.7ae259c05bac7p+1",
                  200.0: "0x1.7cec1a7f535b2p+1"}
 
 
-def test_lp_norm_evaluator_is_lp_norm_bit_for_bit():
-    # one evaluator reused across exponents on both sides of the log-domain
-    # switch (its logs are taken at the first p above 50) returns lp_norm's
-    # bits at each, and lp_norm keeps its bits
+def test_lp_norm_pinned_bits():
     s = make_space([0.2, 0.5, 0.1, 0.2])
     f = s.function([1.5, -0.25, 0.0, 3.0])
-    norm_at = _lp_norm_at(np.abs(f.value_array), s.weight_array)
-    for p in [60.0, 1.0, 50.0, *np.arange(50.5, 200.5, 0.5), math.inf]:
-        assert norm_at(p).hex() == lp_norm(f, p, s).hex()
     for p, pin in _LP_NORM_PINS.items():
         assert lp_norm(f, p, s).hex() == pin
-    zero = s.function([0.0] * 4)
-    zero_at = _lp_norm_at(np.abs(zero.value_array), s.weight_array)
-    assert zero_at(60.0) == lp_norm(zero, 60.0, s) == 0.0
-    with pytest.raises(ValueError):
-        norm_at(0.5)
+    assert lp_norm(s.function([0.0] * 4), 60.0, s) == 0.0
 
 
 _SPECIALS = (math.nan, math.inf, -math.inf, 1e308, -1e308)

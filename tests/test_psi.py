@@ -281,8 +281,8 @@ def test_scalar_call_matches_one_element_array(name, include_a, include_b,
 def test_adjacent_scalar_call_matches_one_element_array(name, include_a,
                                                         include_b, where, u,
                                                         form):
-    # the adjacent function's scalar path gives the bits of its array path
-    # on a one-element array, and both reject exponents below 1
+    # a scalar call of the adjacent function gives a float with the bits of
+    # a one-element array call, and both reject exponents below 1
     base = _fast_path_psi(name)
     nu = adjacent(dataclasses.replace(
         base, include_a=include_a,
