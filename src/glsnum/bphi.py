@@ -13,17 +13,15 @@ bound into moment growth, linking these norms to grand norms.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
 from glsnum.glnorm import DEFAULT_GRID, gls_norm
 from glsnum.measure import (DiscreteMeasureSpace, MeasurableFunction,
-                            _outer_logsumexp)
+                            _outer_logsumexp, _read_json)
 from glsnum.psi import PsiFunction
 from glsnum.search import (GridSpec, NoFeasiblePoint, NoInfeasiblePoint,
                            _on_interval, grid_refine_max, increasing_inverse,
@@ -46,6 +44,7 @@ __all__ = [
     "membership_check",
 ]
 
+#: largest |E xi| accepted as centred, relative to E|xi|
 CENTERING_TOL = 1e-10
 
 #: default cap for the lambda grid when phi lives on the whole line
@@ -133,13 +132,7 @@ def phi_from_descriptor(desc) -> PhiFunction:
     Accepts a dict, a JSON string, or a path to a JSON file; quadratic takes
     an optional lambda0, power takes m and an optional lambda0.
     """
-    if isinstance(desc, (str, Path)):
-        text = str(desc)
-        if text.lstrip().startswith("{"):
-            desc = json.loads(text)
-        else:
-            with Path(desc).open() as fh:
-                desc = json.load(fh)
+    desc = _read_json(desc)
     if not isinstance(desc, dict) or "family" not in desc:
         raise ValueError("descriptor needs a 'family' field")
     family = desc["family"]
@@ -162,8 +155,9 @@ class RandomVariableSample:
         space = self.function.space
         if not space.is_probability:
             raise ValueError("random variables need a probability space")
-        mean = float(np.dot(self.function.value_array, space.weight_array))
-        if abs(mean) > CENTERING_TOL:
+        values, weights = self.function.value_array, space.weight_array
+        mean = float(np.dot(values, weights))
+        if abs(mean) > CENTERING_TOL * float(np.dot(np.abs(values), weights)):
             raise ValueError(f"not centered: mean = {mean!r}")
 
     @property

@@ -36,8 +36,8 @@ from glsnum.duality import (SetFunction, associate_bound,
                             associate_norm_oracle, setfunction_norm,
                             verify_representation)
 from glsnum.glnorm import family_unit_norm_check, gls_norm
-from glsnum.measure import (MeasurableFunction, lp_norm, load_csv, load_json,
-                            make_space, parse_space_dict)
+from glsnum.measure import (MeasurableFunction, _read_json, lp_norm, load_csv,
+                            load_json, make_space, parse_space_dict)
 from glsnum.orlicz import (build_N, conjugate_young_point, luxemburg_norm,
                            power_young, validate_young)
 from glsnum.psi import adjacent, export_psi_csv, natural_function, \
@@ -221,12 +221,7 @@ def _cmd_dual_oracle(args) -> int:
 
 def _cmd_setnorm(args) -> int:
     config = _config_from(args)
-    text = args.input.lstrip()
-    if text.startswith("{"):
-        data = json.loads(args.input)
-    else:
-        with Path(args.input).open() as fh:
-            data = json.load(fh)
+    data = _read_json(args.input)
     if "weights" not in data or "gamma" not in data:
         raise ValueError("setnorm input needs 'weights' and 'gamma' fields")
     space = make_space(data["weights"])

@@ -328,6 +328,18 @@ def parse_space_dict(data: dict
     return space, [space.function(raw)]
 
 
+def _read_json(source):
+    """Inline JSON (text starting with "{") or a JSON file path, parsed;
+    anything else (a dict) is returned as it is."""
+    if not isinstance(source, (str, Path)):
+        return source
+    text = str(source)
+    if text.lstrip().startswith("{"):
+        return json.loads(text)
+    with Path(text).open() as fh:
+        return json.load(fh)
+
+
 def load_json(path) -> tuple[DiscreteMeasureSpace, list[MeasurableFunction]]:
     with Path(path).open() as fh:
         data = json.load(fh)

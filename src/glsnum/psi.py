@@ -14,7 +14,6 @@ functions: psi_S(p) = sup over the family of |f|_p.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -22,7 +21,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from glsnum.measure import DiscreteMeasureSpace, MeasurableFunction, lp_norms
+from glsnum.measure import (DiscreteMeasureSpace, MeasurableFunction,
+                            _read_json, lp_norms)
 from glsnum.search import (GridSpec, _interval_mask, _on_interval,
                            grid_refine_max, log_grid)
 
@@ -338,13 +338,7 @@ def psi_from_descriptor(desc) -> PsiFunction:
     {"family": "extremal"|"power"|"slowly_varying"|"exponential"|"table",
      "params": {...}}.
     """
-    if isinstance(desc, (str, Path)):
-        text = str(desc)
-        if text.lstrip().startswith("{"):
-            desc = json.loads(text)
-        else:
-            with Path(desc).open() as fh:
-                desc = json.load(fh)
+    desc = _read_json(desc)
     if not isinstance(desc, dict) or "family" not in desc:
         raise ValueError("descriptor needs a 'family' field")
     family = desc["family"]

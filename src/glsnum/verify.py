@@ -1,36 +1,72 @@
-"""Seeded self-verification battery behind the `verify` CLI subcommand.
+"""One ordered registry of seeded checks C01-C13 of the package's identities.
 
-Runs a compact randomized version of the package's core identities and
-inequalities (the full-size battery lives in the test suite) with a fixed
-random seed, so two runs with the same seed produce byte-identical reports.
-Each check contributes a named entry with a passed flag and its worst
-observed deviation.
+Each check `run(rng, n)` draws n instances from `rng`, never asserts, and
+returns `passed` with its worst figures and their tolerances.  The acceptance
+battery runs check k at its full count with `default_rng(100 + k)`; `glsnum
+verify --seed S` runs all of them at their compact counts from one
+`default_rng(S)`, in order, so one seed always gives the same report.
 """
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from glsnum.bphi import bphi_norm, discretized_normal, quadratic_phi, \
     rademacher, two_point
 from glsnum.convex import (RealFunction1D, check_growth_condition, h_of,
-                           young_fenchel)
+                           young_fenchel, young_fenchel_table)
 from glsnum.duality import (SetFunction, StepFunction, associate_bound,
-                            associate_norm_oracle, step_integral,
-                            verify_representation)
+                            associate_norm_oracle, setfunction_norm,
+                            step_integral)
 from glsnum.glnorm import gls_norm
-from glsnum.measure import lp_norm, probability_space
-from glsnum.orlicz import (build_N, conjugate_young, conjugate_young_function,
-                           luxemburg_norm, orlicz_holder_check, power_young)
-from glsnum.psi import (adjacent, conjugate_exponent, make_extremal_psi,
-                        make_power_psi)
+from glsnum.measure import integrate, lp_norm, probability_space
+from glsnum.orlicz import (build_N, conjugate_young_function,
+                           conjugate_young_point, luxemburg_norm,
+                           orlicz_holder_check, power_young)
+from glsnum.psi import (SLOWLY_VARYING, adjacent, conjugate_exponent,
+                        make_exp_psi, make_extremal_psi, make_power_psi,
+                        make_sv_psi)
 
 __all__ = ["run_verification_suite"]
 
 
-def _random_space(rng: np.random.Generator, max_atoms: int = 12):
-    n = int(rng.integers(2, max_atoms + 1))
+@dataclass(frozen=True)
+class _Check:
+    name: str
+    title: str
+    run: Callable[[np.random.Generator, int], dict]
+    full: int
+    compact: int
+
+
+_REGISTRY: list[_Check] = []
+
+
+def _check(title: str, full: int, compact: int):
+    """Register the decorated check as the next criterion C01, C02, ..."""
+    def register(run):
+        name = f"C{len(_REGISTRY) + 1:02d}"
+        _REGISTRY.append(_Check(name, title, run, full, compact))
+        return run
+    return register
+
+
+def _report(ok: bool = True, **figures) -> dict:
+    """Passed when ok holds and every (worst, tolerance) figure has
+    worst <= tolerance; any other figure is reported as it is."""
+    bounded = {k: v for k, v in figures.items() if isinstance(v, tuple)}
+    return {"passed": bool(ok and all(w <= t for w, t in bounded.values())),
+            "tolerances": {k: t for k, (_, t) in bounded.items()},
+            **{k: v[0] if isinstance(v, tuple) else v
+               for k, v in figures.items()}}
+
+
+def _random_space(rng: np.random.Generator, max_atoms: int = 16,
+                  min_atoms: int = 2):
+    n = int(rng.integers(min_atoms, max_atoms + 1))
     return probability_space(rng.uniform(0.2, 1.0, size=n))
 
 
@@ -38,253 +74,262 @@ def _random_function(rng: np.random.Generator, space, lo=-3.0, hi=3.0):
     return space.function(rng.uniform(lo, hi, size=space.n_atoms))
 
 
-def _check_extremal_identity(rng) -> dict:
-    worst_norm = 0.0
-    worst_bound = 0.0
-    for r in (2.0, 3.0, 5.0):
-        psi = make_extremal_psi(r)
-        for _ in range(6):
-            space = _random_space(rng)
-            f = _random_function(rng, space)
-            worst_norm = max(worst_norm, abs(
-                gls_norm(f, psi, space).value - lp_norm(f, r, space)))
-            g = _random_function(rng, space)
-            rp = conjugate_exponent(r)
+def _families() -> list:
+    # three flat, three power, one slowly varying, one exponential
+    return [make_extremal_psi(2.0), make_extremal_psi(3.0),
+            make_extremal_psi(5.0), make_power_psi(1.0), make_power_psi(2.0),
+            make_power_psi(4.0),
+            make_sv_psi(2.0, SLOWLY_VARYING["log"], label="sv"),
+            make_exp_psi(1.0, 1.0)]
+
+
+@_check("grand norm == L_r and bound == dual L_r' for flat psi", 20, 6)
+def _flat_psi_identities(rng, n):
+    worst_norm = worst_bound = 0.0
+    for _ in range(n):
+        space = _random_space(rng)
+        f, g = _random_function(rng, space), _random_function(rng, space)
+        for r in (2.0, 3.0, 5.0):
+            psi = make_extremal_psi(r)
+            worst_norm = max(worst_norm, abs(gls_norm(f, psi, space).value
+                                             - lp_norm(f, r, space)))
             worst_bound = max(worst_bound, abs(
-                associate_bound(g, psi, space).value - lp_norm(g, rp, space)))
-    return {"passed": worst_norm <= 1e-9 and worst_bound <= 1e-6,
-            "worst_norm_dev": worst_norm, "worst_bound_dev": worst_bound,
-            "tolerances": [1e-9, 1e-6]}
+                associate_bound(g, psi, space).value
+                - lp_norm(g, conjugate_exponent(r), space)))
+    return _report(norm_dev=(worst_norm, 1e-9),
+                   bound_dev=(worst_bound, 1e-6))
 
 
-def _check_adjacent_formula() -> dict:
-    qs = np.geomspace(1.01, 100.0, 50)
+@_check("adjacent function of power psi matches ((q-1)/q)^(1/m)", 100, 50)
+def _adjacent_closed_form(rng, n):
+    qs = np.geomspace(1.01, 150.0, n)
     worst = 0.0
     for m in (1.0, 2.0, 4.0):
+        expected = ((qs - 1.0) / qs) ** (1.0 / m)
         nu = adjacent(make_power_psi(m))
-        exact = ((qs - 1.0) / qs) ** (1.0 / m)
-        worst = max(worst, float(np.max(np.abs(nu(qs) - exact))))
-    return {"passed": worst <= 1e-12, "worst_dev": worst,
-            "tolerance": 1e-12}
+        worst = max(worst, float(np.max(np.abs(nu(qs) - expected))))
+    return _report(dev=(worst, 1e-12))
 
 
-def _check_duality_bracket(rng) -> dict:
+@_check("pairing oracle <= exponent-scan bound", 500, 24)
+def _oracle_bound_bracket(rng, n):
+    psis = _families()[:6]
     worst_excess = -math.inf
-    worst_gap = 0.0
-    for i in range(30):
-        space = _random_space(rng)
+    worst_flat_gap = 0.0
+    for i in range(n):
+        psi = psis[i % len(psis)]
+        space = _random_space(rng, max_atoms=12)
         g = _random_function(rng, space)
-        if i % 2 == 0:
-            r = float(rng.choice([2.0, 3.0, 5.0]))
-            psi = make_extremal_psi(r)
-        else:
-            psi = make_power_psi(float(rng.choice([1.0, 2.0, 4.0])))
-            r = None
         bound = associate_bound(g, psi, space).value
-        oracle = associate_norm_oracle(g, psi, space, iterations=30)
+        oracle = associate_norm_oracle(g, psi, space)
         worst_excess = max(worst_excess, oracle - bound)
-        if r is not None:
-            worst_gap = max(worst_gap, bound - oracle)
-    return {"passed": worst_excess <= 1e-8 and worst_gap <= 1e-4,
-            "worst_excess": worst_excess, "worst_extremal_gap": worst_gap,
-            "tolerances": [1e-8, 1e-4]}
+        if psi.label.startswith("extremal"):
+            worst_flat_gap = max(worst_flat_gap, bound - oracle)
+    return _report(excess=(worst_excess, 1e-8),
+                   flat_psi_gap=(worst_flat_gap, 1e-4))
 
 
-def _check_holder(rng) -> dict:
+@_check("two-norm product bound on random triples", 1000, 200)
+def _holder_inequality(rng, n):
     worst = -math.inf
-    for _ in range(200):
+    for _ in range(n):
         space = _random_space(rng)
-        f = _random_function(rng, space)
-        g = _random_function(rng, space)
-        p = float(rng.uniform(1.0, 8.0))
-        lhs = abs(float(np.dot(f.value_array * g.value_array,
-                               space.weight_array)))
+        f, g = _random_function(rng, space), _random_function(rng, space)
+        p = float(np.exp(rng.uniform(0.0, 3.0)))
+        lhs = abs(integrate(space.function(f.value_array * g.value_array),
+                            space))
         rhs = lp_norm(f, p, space) * lp_norm(g, conjugate_exponent(p), space)
         worst = max(worst, lhs - rhs)
-    return {"passed": worst <= 1e-10, "worst_excess": worst,
-            "tolerance": 1e-10}
+    return _report(excess=(worst, 1e-10))
 
 
-def _check_young_conjugate(rng) -> dict:
-    half_square = RealFunction1D(-100.0, 100.0, lambda z: 0.5 * z ** 2,
-                                 label="z^2/2")
-    vs = np.linspace(-50.0, 50.0, 21)
-    worst_sq = float(max(abs(young_fenchel(half_square, float(v)) - 0.5 * v * v)
-                         for v in vs))
-    h = h_of(make_power_psi(2.0))
+@_check("conjugate: self-dual quadratic, pair bound, biconjugate", 500, 100)
+def _convex_conjugate(rng, n):
+    quad = RealFunction1D(lo=-60.0, hi=60.0, fn=lambda z: 0.5 * z ** 2,
+                          label="z^2/2")
+    worst_sq = float(max(abs(young_fenchel(quad, float(v)) - 0.5 * v ** 2)
+                         for v in np.linspace(-50.0, 50.0, 101)))
     worst_fy = -math.inf
-    for _ in range(100):
-        z = float(rng.uniform(1.0, 150.0))
-        v = float(rng.uniform(-3.0, 3.0))
-        worst_fy = max(worst_fy,
-                       v * z - (float(h(z)) + young_fenchel(h, v)))
-    return {"passed": worst_sq <= 1e-8 and worst_fy <= 1e-9,
-            "worst_quadratic_dev": worst_sq, "worst_fenchel_young": worst_fy,
-            "tolerances": [1e-8, 1e-9]}
+    for psi in (make_power_psi(2.0), make_extremal_psi(3.0)):
+        h = h_of(psi)
+        zs = rng.uniform(h.lo, min(h.hi, 50.0), size=n)
+        vs = rng.uniform(-2.0, 10.0, size=n)
+        conj, _, _ = young_fenchel_table(h, vs)
+        worst_fy = max(worst_fy, float(np.max(vs * zs - (h(zs) + conj))))
+    worst_bi = -math.inf
+    vgrid = np.linspace(-2.0, 30.0, 257)
+    for psi in _families():
+        h = h_of(psi)
+        conj, _, _ = young_fenchel_table(h, vgrid)
+        zs = np.linspace(h.lo, min(h.hi, 200.0), 64)
+        finite = np.isfinite(conj)
+        bicon = np.max(np.outer(zs, vgrid[finite]) - conj[finite][None, :],
+                       axis=1)
+        worst_bi = max(worst_bi, float(np.max(bicon - h(zs))))
+    return _report(quadratic_dev=(worst_sq, 1e-8),
+                   pair_excess=(worst_fy, 1e-9),
+                   double_transform_excess=(worst_bi, 1e-8))
 
 
-def _check_orlicz_build() -> dict:
+@_check("exponential Young: u^r identity, branch jump, N(0) == 0", 128, 32)
+def _exponential_young(rng, n):
+    us = np.geomspace(math.e, 100.0, n)
+    worst_rel = 0.0
+    for r in (2.0, 3.0, 5.0):
+        N = build_N(make_extremal_psi(r))
+        worst_rel = max(worst_rel,
+                        float(np.max(np.abs(N(us) / us ** r - 1.0))))
     worst_jump = 0.0
-    zero_ok = True
-    for psi in (make_extremal_psi(3.0), make_power_psi(2.0)):
+    zero_at_zero = True
+    for psi in _families():
         N = build_N(psi)
-        zero_ok = zero_ok and float(N(0.0)) == 0.0
-        left = float(N(math.e * (1 - 1e-12)))
-        right = float(N(math.e * (1 + 1e-12)))
-        worst_jump = max(worst_jump, abs(right - left))
-    N3 = build_N(make_extremal_psi(3.0))
-    us = np.geomspace(math.e, 100.0, 50)
-    worst_power = float(np.max(np.abs(N3(us) / us ** 3 - 1.0)))
-    return {"passed": worst_jump <= 1e-9 and zero_ok and worst_power <= 1e-6,
-            "worst_branch_jump": worst_jump, "zero_at_zero": zero_ok,
-            "worst_power_rel_dev": worst_power,
-            "tolerances": [1e-9, 1e-6]}
+        zero_at_zero = zero_at_zero and float(N(0.0)) == 0.0
+        worst_jump = max(worst_jump, abs(float(N(math.e * (1.0 + 1e-13)))
+                                         - float(N(math.e * (1.0 - 1e-13)))))
+    return _report(zero_at_zero, power_rel_dev=(worst_rel, 1e-6),
+                   branch_jump=(worst_jump, 1e-9), zero_at_zero=zero_at_zero)
 
 
-def _check_luxemburg(rng) -> dict:
-    worst = 0.0
-    worst_integral = 0.0
-    for _ in range(20):
+@_check("Luxemburg norm == L_p for power Young functions", 200, 20)
+def _luxemburg_on_powers(rng, n):
+    worst_dev = worst_int = 0.0
+    for _ in range(n):
         space = _random_space(rng)
         f = _random_function(rng, space)
-        if not np.any(f.value_array):
-            continue
         p = float(rng.uniform(1.0, 6.0))
         N = power_young(p)
         k = luxemburg_norm(f, N, space)
-        worst = max(worst, abs(k - lp_norm(f, p, space)))
-        integral = float(np.dot(N(np.abs(f.value_array) / k),
-                                space.weight_array))
-        worst_integral = max(worst_integral, abs(integral - 1.0))
-    return {"passed": worst <= 1e-9 and worst_integral <= 1e-6,
-            "worst_dev": worst, "worst_integral_dev": worst_integral,
-            "tolerances": [1e-9, 1e-6]}
+        worst_dev = max(worst_dev, abs(k - lp_norm(f, p, space)))
+        at_solution = integrate(space.function(np.asarray(
+            N(np.abs(f.value_array) / k), dtype=float)), space)
+        worst_int = max(worst_int, abs(at_solution - 1.0))
+    return _report(norm_dev=(worst_dev, 1e-9),
+                   unit_integral_dev=(worst_int, 1e-6))
 
 
-def _check_conjugate_asymptotics() -> dict:
-    ratios = []
+@_check("N*(y) / (y ln^(1/m)(e+y)) in [0.1, 10], spread <= 10", 25, 7)
+def _conjugate_growth(rng, n):
+    worst_spread = 0.0
+    low, high = math.inf, 0.0
     for m in (1.0, 2.0):
         N = build_N(make_power_psi(m))
-        for y in (10.0, 1e2, 1e3, 1e4):
-            val = conjugate_young(N, y)
-            ratios.append(val / (y * math.log(math.e + y) ** (1.0 / m)))
-    lo, hi = min(ratios), max(ratios)
-    return {"passed": lo >= 0.1 and hi <= 10.0, "ratio_low": lo,
-            "ratio_high": hi, "band": [0.1, 10.0]}
+        ratios = [conjugate_young_point(N, float(y)).value
+                  / (y * math.log(math.e + y) ** (1.0 / m))
+                  for y in np.geomspace(10.0, 1e4, n)]
+        worst_spread = max(worst_spread, max(ratios) / min(ratios))
+        low, high = min(low, min(ratios)), max(high, max(ratios))
+    return _report(low >= 0.1, spread=(worst_spread, 10.0),
+                   ratio_high=(high, 10.0), ratio_low=low)
 
 
-def _check_orlicz_holder(rng) -> dict:
-    psi = make_power_psi(2.0)
-    N = build_N(psi)
+@_check("factor-2 Orlicz product bound", 1000, 40)
+def _orlicz_holder(rng, n):
+    N = build_N(make_power_psi(2.0))
     N_conj = conjugate_young_function(N)
-    worst = 0.0
-    for _ in range(40):
-        space = _random_space(rng)
-        f = _random_function(rng, space)
-        g = _random_function(rng, space)
+    worst = worst_ratio = -math.inf
+    for _ in range(n):
+        space = _random_space(rng, max_atoms=12)
+        f, g = _random_function(rng, space), _random_function(rng, space)
         rep = orlicz_holder_check(f, g, N, space, N_conj=N_conj)
-        worst = max(worst, rep.ratio)
-    return {"passed": worst <= 1.0 + 1e-6, "worst_ratio": worst,
-            "tolerance": 1e-6}
+        worst = max(worst, rep.lhs - rep.rhs)
+        worst_ratio = max(worst_ratio, rep.ratio)
+    return _report(excess=(worst, 1e-6), ratio=(worst_ratio, 1.0 + 1e-6))
 
 
-def _check_growth() -> dict:
-    xs = np.geomspace(1e-3, 1e6, 400)
-    results = []
+@_check("growth checker: exact power thresholds, log refuted", 400, 400)
+def _growth_checker(rng, n):
+    xs = np.geomspace(1e-3, 1e6, n)
+    worst = [0.0, 0.0]  # on the default grid and on xs
+    power_ok = True
     for m in (1.0, 2.0, 3.0):
-        V = lambda x, _m=m: x ** _m
-        at = check_growth_condition(V, 2.0, 2.0 ** (-m), x_grid=xs)
-        below = check_growth_condition(V, 2.0, 2.0 ** (-m) - 1e-3, x_grid=xs)
-        results.append(at.passed and abs(at.worst_ratio - 2.0 ** (-m)) <= 1e-12
-                       and not below.passed)
-    log_fail = not check_growth_condition(
-        lambda x: np.log1p(x), 2.0, 0.9, x_grid=xs).passed
-    ok = all(results) and log_fail
-    return {"passed": ok, "power_cases": results, "log_fails_at_0.9": log_fail}
+        V = lambda x, m=m: x ** m
+        alpha = 2.0 ** (-m)
+        for i, grid in enumerate((None, xs)):
+            at = check_growth_condition(V, 2.0, alpha, x_grid=grid)
+            below = check_growth_condition(V, 2.0, alpha - 1e-3, x_grid=grid)
+            power_ok = power_ok and at.passed and not below.passed
+            worst[i] = max(worst[i], abs(at.worst_ratio - alpha))
+    log_refuted = not any(
+        check_growth_condition(np.log1p, 2.0, alpha, x_grid=xs).passed
+        for alpha in (0.1, 0.3, 0.5, 0.7, 0.85, 0.9, 0.94))
+    return _report(power_ok and log_refuted, threshold_dev=(worst[0], 1e-12),
+                   threshold_dev_on_grid=(worst[1], 1e-12),
+                   power_cases_ok=power_ok, log_refuted=log_refuted)
 
 
-def _check_representation(rng) -> dict:
+@_check("set-function norm matches the density oracle", 100, 6)
+def _setfunction_representation(rng, n):
+    psi = make_power_psi(2.0)
     worst = 0.0
-    worst_step = 0.0
-    for _ in range(10):
-        space = _random_space(rng, max_atoms=10)
+    for _ in range(n):
+        space = _random_space(rng, max_atoms=12)
         g = _random_function(rng, space)
-        psi = make_extremal_psi(float(rng.choice([2.0, 3.0])))
-        rep = verify_representation(g, psi, space, check_growth=False)
-        worst = max(worst,
-                    rep.difference / (1.0 + max(abs(rep.oracle),
-                                                abs(rep.setnorm))))
-        gamma = SetFunction.from_density(g, space)
-        n = space.n_atoms
-        perm = list(rng.permutation(n))
-        cut = n // 2
-        phi = StepFunction(coefficients=(1.5, -0.5),
-                           sets=(tuple(perm[:cut]), tuple(perm[cut:])))
-        direct = 1.5 * sum(gamma.atom_values[i] for i in perm[:cut]) \
-            - 0.5 * sum(gamma.atom_values[i] for i in perm[cut:])
-        worst_step = max(worst_step, abs(step_integral(phi, gamma) - direct))
-    return {"passed": worst <= 1e-5 and worst_step <= 1e-12,
-            "worst_rel_difference": worst, "worst_step_dev": worst_step,
-            "tolerances": [1e-5, 1e-12]}
+        oracle = associate_norm_oracle(g, psi, space)
+        setnorm = setfunction_norm(SetFunction.from_density(g, space), psi,
+                                   space)
+        worst = max(worst, abs(setnorm - oracle)
+                    / (1.0 + max(abs(oracle), abs(setnorm))))
+    space = _random_space(rng, max_atoms=8, min_atoms=4)
+    gamma = SetFunction.from_density(_random_function(rng, space), space)
+    mu = gamma.atom_values
+    fixed_exact = step_integral(StepFunction((2.0, -0.5), ((0, 1), (2,))),
+                                gamma) == 2.0 * (mu[0] + mu[1]) - 0.5 * mu[2]
+    perm = [int(i) for i in rng.permutation(space.n_atoms)]
+    lo, hi = tuple(perm[:len(perm) // 2]), tuple(perm[len(perm) // 2:])
+    direct = 1.5 * sum(mu[i] for i in lo) - 0.5 * sum(mu[i] for i in hi)
+    step_dev = abs(step_integral(StepFunction((1.5, -0.5), (lo, hi)), gamma)
+                   - direct)
+    return _report(fixed_exact, scaled_dev=(worst, 1e-5),
+                   step_dev=(step_dev, 1e-12), fixed_step_exact=fixed_exact)
 
 
-def _check_bphi(rng) -> dict:
+@_check("mgf-ball norms: two-point, normal, homogeneity", 100, 10)
+def _mgf_ball_norms(rng, n):
     phi = quadratic_phi()
-    rad_dev = abs(bphi_norm(rademacher(), phi) - 1.0)
-    normal_norm = bphi_norm(discretized_normal(), phi)
-    worst_hom = 0.0
-    for _ in range(10):
-        xi = two_point(float(rng.uniform(0.5, 2.0)),
-                       float(rng.uniform(0.2, 0.8)))
-        c = float(rng.uniform(0.2, 5.0))
-        worst_hom = max(worst_hom, abs(bphi_norm(xi.scaled(c), phi)
-                                       - c * bphi_norm(xi, phi)))
-    return {"passed": (rad_dev <= 1e-6 and 0.99 <= normal_norm <= 1.01
-                       and worst_hom <= 1e-6),
-            "rademacher_dev": rad_dev, "normal_norm": normal_norm,
-            "worst_homogeneity": worst_hom,
-            "tolerances": [1e-6, 0.01, 1e-6]}
+    rad = bphi_norm(rademacher(), phi)
+    normal = bphi_norm(discretized_normal(401, 8.0), phi)
+    worst_rel = worst_abs = 0.0
+    for _ in range(n):
+        xi = two_point(float(rng.uniform(0.5, 3.0)),
+                       float(rng.uniform(0.1, 0.9)))
+        c = float(np.exp(rng.uniform(-3.0, 3.0)))
+        base = bphi_norm(xi, phi)
+        dev = abs(bphi_norm(xi.scaled(c), phi) - c * base)
+        worst_rel = max(worst_rel, dev / (c * base))
+        worst_abs = max(worst_abs, dev)
+    return _report(abs(rad - 1.0) <= 1e-6 and 0.99 <= normal <= 1.01,
+                   rademacher=rad, normal=normal,
+                   homogeneity_rel_dev=(worst_rel, 1e-6),
+                   homogeneity_abs_dev=(worst_abs, 1e-6))
 
 
-def _check_gls_axioms(rng) -> dict:
-    families = [make_extremal_psi(3.0), make_power_psi(2.0)]
-    worst_hom = 0.0
+@_check("grand-norm homogeneity and triangle inequality", 1000, 96)
+def _grand_norm_axioms(rng, n):
+    families = _families()
+    worst_rel = worst_abs = 0.0
     worst_tri = -math.inf
-    for i in range(150):
+    for i in range(n):
         psi = families[i % len(families)]
-        space = _random_space(rng)
-        f = _random_function(rng, space)
-        g = _random_function(rng, space)
-        c = float(rng.uniform(0.1, 10.0))
+        space = _random_space(rng, max_atoms=12)
+        f, g = _random_function(rng, space), _random_function(rng, space)
+        c = float(np.exp(rng.uniform(-2.0, 2.0)))
         nf = gls_norm(f, psi, space).value
         ng = gls_norm(g, psi, space).value
-        worst_hom = max(worst_hom,
-                        abs(gls_norm(c * f, psi, space).value - c * nf))
         worst_tri = max(worst_tri,
                         gls_norm(f + g, psi, space).value - (nf + ng))
-    return {"passed": worst_hom <= 1e-9 and worst_tri <= 1e-9,
-            "worst_homogeneity": worst_hom, "worst_triangle_excess": worst_tri,
-            "tolerance": 1e-9}
+        dev = abs(gls_norm(c * f, psi, space).value - c * nf)
+        worst_rel = max(worst_rel, dev / (1.0 + c * nf))
+        worst_abs = max(worst_abs, dev)
+    return _report(homogeneity_rel_dev=(worst_rel, 1e-9),
+                   homogeneity_abs_dev=(worst_abs, 1e-9),
+                   triangle_excess=(worst_tri, 1e-9))
 
 
 def run_verification_suite(seed: int) -> dict:
-    """Run the battery with one seeded generator; returns the report dict."""
+    """Run every check at its compact count from one `default_rng(seed)`."""
     rng = np.random.default_rng(seed)
-    checks = {
-        "extremal_identity": _check_extremal_identity(rng),
-        "adjacent_formula": _check_adjacent_formula(),
-        "duality_bracket": _check_duality_bracket(rng),
-        "holder": _check_holder(rng),
-        "young_conjugate": _check_young_conjugate(rng),
-        "orlicz_build": _check_orlicz_build(),
-        "luxemburg": _check_luxemburg(rng),
-        "conjugate_asymptotics": _check_conjugate_asymptotics(),
-        "orlicz_holder": _check_orlicz_holder(rng),
-        "growth_checker": _check_growth(),
-        "representation": _check_representation(rng),
-        "bphi": _check_bphi(rng),
-        "gls_axioms": _check_gls_axioms(rng),
-    }
-    all_passed = all(c["passed"] for c in checks.values())
-    return {"seed": seed, "checks": checks, "all_passed": all_passed,
+    checks = {c.name: {"title": c.title} | c.run(rng, c.compact)
+              for c in _REGISTRY}
+    return {"seed": seed, "checks": checks,
+            "all_passed": all(c["passed"] for c in checks.values()),
             "n_checks": len(checks)}

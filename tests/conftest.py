@@ -1,21 +1,10 @@
 import numpy as np
 import pytest
 
-from glsnum.measure import lp_norms, probability_space
+from glsnum.measure import lp_norms
 from glsnum.search import log_grid
-
-
-def random_space(rng, max_atoms=16, min_atoms=2, probability=True):
-    n = int(rng.integers(min_atoms, max_atoms + 1))
-    weights = rng.uniform(0.2, 1.0, size=n)
-    if probability:
-        return probability_space(weights)
-    from glsnum.measure import make_space
-    return make_space(weights)
-
-
-def random_function(rng, space, lo=-3.0, hi=3.0):
-    return space.function(rng.uniform(lo, hi, size=space.n_atoms))
+from glsnum.verify import _random_function as random_function
+from glsnum.verify import _random_space as random_space
 
 
 def dense_gls_reference(f, psi, space, points=100_000, cap=200.0):

@@ -1,335 +1,46 @@
 """Acceptance battery: one test per release criterion.
 
-Each test prints a single `[C##] ... PASS` line (visible under `pytest -rA`)
-after its assertions; a failing criterion fails the corresponding test.  All
-random draws use fixed seeds so the battery is reproducible run to run.
+C01-C13 run the checks of `glsnum.verify` at their full instance counts, check
+k with `default_rng(100 + k)`, so the battery is reproducible run to run.
+Each test prints a single `[C##] ... PASS` line with its worst figures
+(visible under `pytest -rP`) and fails when its check does not pass.
 """
 
 import json
-import math
 
 import numpy as np
 
-from glsnum import (
-    SetFunction,
-    StepFunction,
-    adjacent,
-    associate_bound,
-    associate_norm_oracle,
-    bphi_norm,
-    build_N,
-    check_growth_condition,
-    conjugate_exponent,
-    conjugate_young_point,
-    discretized_normal,
-    gls_norm,
-    h_of,
-    integrate,
-    lp_norm,
-    luxemburg_norm,
-    make_exp_psi,
-    make_extremal_psi,
-    make_power_psi,
-    make_sv_psi,
-    power_young,
-    quadratic_phi,
-    rademacher,
-    setfunction_norm,
-    step_integral,
-    two_point,
-    young_fenchel,
-    young_fenchel_table,
-)
 from glsnum.cli import main as cli_main
-from glsnum.convex import RealFunction1D
-from conftest import random_function, random_space
+from glsnum.verify import _REGISTRY
 
-SV_LOG = lambda p: np.log(math.e - 1.0 + np.asarray(p, dtype=float))
-
-ALL_FAMILIES = [make_extremal_psi(2.0), make_extremal_psi(3.0),
-                make_extremal_psi(5.0), make_power_psi(1.0),
-                make_power_psi(2.0), make_power_psi(4.0),
-                make_sv_psi(2.0, SV_LOG, label="sv"), make_exp_psi(1.0, 1.0)]
+_CHECKS = {check.name: check for check in _REGISTRY}
 
 
-def test_c01_extremal_norm_and_bound_identities():
-    rng = np.random.default_rng(101)
-    worst_norm = worst_bound = 0.0
-    for _ in range(20):
-        space = random_space(rng, max_atoms=16)
-        f = random_function(rng, space)
-        g = random_function(rng, space)
-        for r in (2.0, 3.0, 5.0):
-            psi = make_extremal_psi(r)
-            norm_dev = abs(gls_norm(f, psi, space).value
-                           - lp_norm(f, r, space))
-            bound_dev = abs(associate_bound(g, psi, space).value
-                            - lp_norm(g, conjugate_exponent(r), space))
-            worst_norm = max(worst_norm, norm_dev)
-            worst_bound = max(worst_bound, bound_dev)
-    assert worst_norm <= 1e-9
-    assert worst_bound <= 1e-6
-    print(f"[C01] grand norm == L_r and bound == dual L_r' for flat psi: "
-          f"PASS (norm dev {worst_norm:.2e}, bound dev {worst_bound:.2e})")
+def _criterion(name):
+    check = _CHECKS[name]
+    result = check.run(np.random.default_rng(100 + int(name[1:])), check.full)
+    figures = ", ".join(
+        f"{k} {v:.6g}" if isinstance(v, float) else f"{k} {v}"
+        for k, v in result.items() if k not in ("passed", "tolerances"))
+    print(f"[{name}] {check.title} (n = {check.full}): "
+          f"{'PASS' if result['passed'] else 'FAIL'} ({figures})")
+    assert result["passed"], result
 
 
-def test_c02_adjacent_function_closed_form():
-    qs = np.geomspace(1.01, 150.0, 100)
-    worst = 0.0
-    for m in (1.0, 2.0, 4.0):
-        nu = adjacent(make_power_psi(m))
-        expected = ((qs - 1.0) / qs) ** (1.0 / m)
-        worst = max(worst, float(np.max(np.abs(nu(qs) - expected))))
-    assert worst <= 1e-12
-    print(f"[C02] adjacent function of power psi matches ((q-1)/q)^(1/m): "
-          f"PASS (worst dev {worst:.2e})")
-
-
-def test_c03_oracle_bound_bracket():
-    rng = np.random.default_rng(103)
-    psis = [make_extremal_psi(2.0), make_extremal_psi(3.0),
-            make_extremal_psi(5.0), make_power_psi(1.0),
-            make_power_psi(2.0), make_power_psi(4.0)]
-    worst_excess = -math.inf
-    worst_flat_gap = 0.0
-    for i in range(500):
-        psi = psis[i % len(psis)]
-        space = random_space(rng, max_atoms=12)
-        g = random_function(rng, space)
-        bound = associate_bound(g, psi, space).value
-        oracle = associate_norm_oracle(g, psi, space)
-        worst_excess = max(worst_excess, oracle - bound)
-        if psi.label.startswith("extremal"):
-            worst_flat_gap = max(worst_flat_gap, bound - oracle)
-    assert worst_excess <= 1e-8
-    assert worst_flat_gap <= 1e-4
-    print(f"[C03] pairing oracle <= exponent-scan bound on 500 instances: "
-          f"PASS (max excess {worst_excess:.2e}, flat-psi gap "
-          f"{worst_flat_gap:.2e})")
-
-
-def test_c04_holder_inequality():
-    rng = np.random.default_rng(104)
-    worst = -math.inf
-    for _ in range(1000):
-        space = random_space(rng, max_atoms=16)
-        f = random_function(rng, space)
-        g = random_function(rng, space)
-        p = float(np.exp(rng.uniform(0.0, 3.0)))
-        lhs = abs(integrate(space.function(f.value_array * g.value_array),
-                            space))
-        rhs = lp_norm(f, p, space) * lp_norm(g, conjugate_exponent(p), space)
-        worst = max(worst, lhs - rhs)
-    assert worst <= 1e-10
-    print(f"[C04] two-norm product bound on 1000 random triples: PASS "
-          f"(max excess {worst:.2e})")
-
-
-def test_c05_convex_conjugate_machinery():
-    # quadratic is its own conjugate
-    quad = RealFunction1D(lo=-60.0, hi=60.0, fn=lambda z: 0.5 * z ** 2,
-                          label="z^2/2")
-    vs = np.linspace(-50.0, 50.0, 101)
-    worst_sq = max(abs(young_fenchel(quad, float(v)) - 0.5 * v ** 2)
-                   for v in vs)
-    assert worst_sq <= 1e-8
-
-    # the two-function inequality v z <= h(z) + h*(v) on random pairs
-    rng = np.random.default_rng(105)
-    worst_fy = -math.inf
-    for psi in (make_power_psi(2.0), make_extremal_psi(3.0)):
-        h = h_of(psi)
-        zs = rng.uniform(h.lo, min(h.hi, 50.0), size=500)
-        vs_r = rng.uniform(-2.0, 10.0, size=500)
-        conj_vals, _, _ = young_fenchel_table(h, vs_r)
-        gaps = vs_r * zs - (h(zs) + conj_vals)
-        worst_fy = max(worst_fy, float(np.max(gaps)))
-    assert worst_fy <= 1e-9
-
-    # applying the transform twice never climbs above the original
-    worst_bi = -math.inf
-    for psi in ALL_FAMILIES:
-        h = h_of(psi)
-        vgrid = np.linspace(-2.0, 30.0, 257)
-        conj_vals, _, _ = young_fenchel_table(h, vgrid)
-        zs = np.linspace(h.lo, min(h.hi, 200.0), 64)
-        finite = np.isfinite(conj_vals)
-        bicon = np.max(np.outer(zs, vgrid[finite])
-                       - conj_vals[finite][None, :], axis=1)
-        worst_bi = max(worst_bi, float(np.max(bicon - h(zs))))
-    assert worst_bi <= 1e-8
-    print(f"[C05] convex conjugate: quadratic fixed point {worst_sq:.2e}, "
-          f"pair inequality {worst_fy:.2e}, double transform "
-          f"{worst_bi:.2e}: PASS")
-
-
-def test_c06_exponential_young_construction():
-    worst_rel = 0.0
-    for r in (2.0, 3.0, 5.0):
-        N = build_N(make_extremal_psi(r))
-        us = np.geomspace(math.e, 100.0, 128)
-        worst_rel = max(worst_rel,
-                        float(np.max(np.abs(N(us) / us ** r - 1.0))))
-    assert worst_rel <= 1e-6
-
-    worst_jump = 0.0
-    for psi in ALL_FAMILIES:
-        N = build_N(psi)
-        assert float(N(0.0)) == 0.0
-        jump = abs(float(N(math.e * (1.0 + 1e-13)))
-                   - float(N(math.e * (1.0 - 1e-13))))
-        worst_jump = max(worst_jump, jump)
-    assert worst_jump <= 1e-9
-    print(f"[C06] exponential Young build: u^r identity {worst_rel:.2e}, "
-          f"branch-point jump {worst_jump:.2e}, N(0) == 0: PASS")
-
-
-def test_c07_luxemburg_solver_on_powers():
-    rng = np.random.default_rng(107)
-    worst_dev = 0.0
-    worst_int = 0.0
-    for _ in range(200):
-        space = random_space(rng, max_atoms=16)
-        f = random_function(rng, space)
-        p = float(rng.uniform(1.0, 6.0))
-        N = power_young(p)
-        k = luxemburg_norm(f, N, space)
-        worst_dev = max(worst_dev, abs(k - lp_norm(f, p, space)))
-        at_solution = integrate(
-            space.function(np.asarray(N(np.abs(f.value_array) / k),
-                                      dtype=float)), space)
-        worst_int = max(worst_int, abs(at_solution - 1.0))
-    assert worst_dev <= 1e-9
-    assert worst_int <= 1e-6
-    print(f"[C07] Luxemburg norm == L_p for power Young functions: PASS "
-          f"(norm dev {worst_dev:.2e}, unit integral dev {worst_int:.2e})")
-
-
-def test_c08_conjugate_growth_band():
-    worst_spread = 0.0
-    for m in (1.0, 2.0):
-        N = build_N(make_power_psi(m))
-        ys = np.geomspace(10.0, 1e4, 25)
-        ratios = []
-        for y in ys:
-            val = conjugate_young_point(N, float(y)).value
-            ratios.append(val / (y * math.log(math.e + y) ** (1.0 / m)))
-        spread = max(ratios) / min(ratios)
-        worst_spread = max(worst_spread, spread)
-    assert worst_spread <= 10.0
-    print(f"[C08] conjugate growth stays within a factor-10 band of "
-          f"y ln^(1/m)(e+y): PASS (spread {worst_spread:.3f})")
-
-
-def test_c09_orlicz_holder_bound():
-    rng = np.random.default_rng(109)
-    from glsnum import conjugate_young_function
-    N = build_N(make_power_psi(2.0))
-    N_conj = conjugate_young_function(N)
-    worst = -math.inf
-    for _ in range(1000):
-        space = random_space(rng, max_atoms=12)
-        f = random_function(rng, space)
-        g = random_function(rng, space)
-        lhs = abs(integrate(space.function(f.value_array * g.value_array),
-                            space))
-        rhs = 2.0 * luxemburg_norm(f, N, space) \
-            * luxemburg_norm(g, N_conj, space)
-        worst = max(worst, lhs - rhs)
-    assert worst <= 1e-6
-    print(f"[C09] factor-2 Orlicz product bound on 1000 pairs: PASS "
-          f"(max excess {worst:.2e})")
-
-
-def test_c10_scaled_growth_condition_checker():
-    worst = 0.0
-    for m in (1.0, 2.0, 3.0):
-        V = lambda x, m=m: x ** m
-        alpha = 2.0 ** (-m)
-        rep = check_growth_condition(V, 2.0, alpha)
-        assert rep.passed
-        worst = max(worst, abs(rep.worst_ratio - alpha))
-        tight = check_growth_condition(V, 2.0, alpha - 1e-3)
-        assert not tight.passed
-    assert worst <= 1e-12
-
-    log_v = lambda x: np.log1p(x)
-    xs = np.geomspace(1e-3, 1e6, 400)
-    for alpha in (0.1, 0.3, 0.5, 0.7, 0.85, 0.94):
-        rep = check_growth_condition(log_v, 2.0, alpha, x_grid=xs)
-        assert not rep.passed, alpha
-    print(f"[C10] scaled growth checker: exact power threshold within "
-          f"{worst:.2e}, log refuted for alpha up to 0.94: PASS")
-
-
-def test_c11_setfunction_norm_representation():
-    rng = np.random.default_rng(111)
-    psi = make_power_psi(2.0)
-    worst = 0.0
-    for _ in range(100):
-        space = random_space(rng, max_atoms=12)
-        g = random_function(rng, space)
-        oracle = associate_norm_oracle(g, psi, space)
-        gamma = SetFunction.from_density(g, space)
-        setnorm = setfunction_norm(gamma, psi, space)
-        magnitude = max(abs(oracle), abs(setnorm))
-        dev = abs(setnorm - oracle)
-        assert dev <= 1e-5 * (1.0 + magnitude)
-        worst = max(worst, dev / (1.0 + magnitude))
-
-    space = random_space(rng, max_atoms=8, min_atoms=4)
-    g = random_function(rng, space)
-    gamma = SetFunction.from_density(g, space)
-    phi = StepFunction((2.0, -0.5), ((0, 1), (2,)))
-    direct = 2.0 * (gamma.atom_values[0] + gamma.atom_values[1]) \
-        - 0.5 * gamma.atom_values[2]
-    assert step_integral(phi, gamma) == direct
-    print(f"[C11] set-function norm matches the density oracle on 100 "
-          f"instances: PASS (worst scaled dev {worst:.2e})")
-
-
-def test_c12_mgf_ball_norms():
-    rad = bphi_norm(rademacher(), quadratic_phi())
-    assert abs(rad - 1.0) <= 1e-6
-    normal = bphi_norm(discretized_normal(401, 8.0), quadratic_phi())
-    assert 0.99 <= normal <= 1.01
-
-    rng = np.random.default_rng(112)
-    phi = quadratic_phi()
-    worst = 0.0
-    for _ in range(100):
-        xi = two_point(float(rng.uniform(0.5, 3.0)),
-                       float(rng.uniform(0.1, 0.9)))
-        c = float(np.exp(rng.uniform(-3.0, 3.0)))
-        base = bphi_norm(xi, phi)
-        scaled = bphi_norm(xi.scaled(c), phi)
-        worst = max(worst, abs(scaled - c * base) / (c * base))
-    assert worst <= 1e-6
-    print(f"[C12] mgf-ball norms: symmetric two-point {rad:.9f}, "
-          f"discretized normal {normal:.4f}, homogeneity dev {worst:.2e}: "
-          f"PASS")
-
-
-def test_c13_grand_norm_axioms():
-    rng = np.random.default_rng(113)
-    worst_h = 0.0
-    worst_t = -math.inf
-    for i in range(1000):
-        psi = ALL_FAMILIES[i % len(ALL_FAMILIES)]
-        space = random_space(rng, max_atoms=12)
-        f = random_function(rng, space)
-        g = random_function(rng, space)
-        c = float(np.exp(rng.uniform(-2.0, 2.0)))
-        nf = gls_norm(f, psi, space).value
-        ng = gls_norm(g, psi, space).value
-        nsum = gls_norm(f + g, psi, space).value
-        nscaled = gls_norm(c * f, psi, space).value
-        worst_h = max(worst_h, abs(nscaled - c * nf) / (1.0 + c * nf))
-        worst_t = max(worst_t, nsum - (nf + ng))
-    assert worst_h <= 1e-9
-    assert worst_t <= 1e-9
-    print(f"[C13] grand-norm homogeneity {worst_h:.2e} and triangle "
-          f"inequality {worst_t:.2e} on 1000 instances: PASS")
+# one item per criterion, under the ids the battery has always had
+def test_c01_extremal_norm_and_bound_identities(): _criterion("C01")
+def test_c02_adjacent_function_closed_form(): _criterion("C02")
+def test_c03_oracle_bound_bracket(): _criterion("C03")
+def test_c04_holder_inequality(): _criterion("C04")
+def test_c05_convex_conjugate_machinery(): _criterion("C05")
+def test_c06_exponential_young_construction(): _criterion("C06")
+def test_c07_luxemburg_solver_on_powers(): _criterion("C07")
+def test_c08_conjugate_growth_band(): _criterion("C08")
+def test_c09_orlicz_holder_bound(): _criterion("C09")
+def test_c10_scaled_growth_condition_checker(): _criterion("C10")
+def test_c11_setfunction_norm_representation(): _criterion("C11")
+def test_c12_mgf_ball_norms(): _criterion("C12")
+def test_c13_grand_norm_axioms(): _criterion("C13")
 
 
 def test_c14_verification_battery_deterministic(capsys):

@@ -234,6 +234,18 @@ def test_bphi_norm_homogeneous_two_point(q, c):
         c * bphi_norm(xi, phi), rel=1e-10)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=-996, max_value=996),
+       st.floats(min_value=0.05, max_value=0.95))
+def test_bphi_norm_homogeneous_over_double_range(k, q):
+    # a power-of-two scale is exact, so the centring check must accept the
+    # scaled variable and the unit-sup normalization gives the same norm bits
+    c = 2.0 ** k
+    xi = two_point(1.7, q)
+    phi = quadratic_phi()
+    assert bphi_norm(xi.scaled(c), phi) == c * bphi_norm(xi, phi)
+
+
 def test_bphi_norm_infinite_when_no_feasible_tau():
     # phi = lambda^4 / 4 vanishes faster than the mgf's lambda^2 / 2 at the
     # origin, so the smallest grid lambda forces tau into the hundreds; with
