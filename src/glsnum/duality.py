@@ -189,9 +189,10 @@ def _unit_ball_pairing_sup(t: np.ndarray, psi: PsiFunction,
                            iterations: int = _ASCENT_ITERATIONS) -> float:
     """sup over f of (f . t) / ||f||_G, by seeded hill climbing.
 
-    Seeds: the sign vector of t (tight at exponent 1), the raw density, and
+    Seeds: the sign vector of t (tight at exponent 1), the density, and
     Hoelder-extremal power profiles sign(g) |g|^(q-1) for a spread of
     exponents q including the minimizer of the adjacent-function bound.
+    Seeds and t are scaled by powers of two to max|.| <= 1: no overflow.
     """
     if space.n_atoms > ORACLE_ATOM_BUDGET:
         raise ValueError(
@@ -200,6 +201,8 @@ def _unit_ball_pairing_sup(t: np.ndarray, psi: PsiFunction,
     t = np.asarray(t, dtype=float)
     if not t.any():
         return 0.0
+    t_max = math.ldexp(1.0, math.frexp(float(np.max(np.abs(t))))[1])
+    t = t / t_max
     w = space.weight_array
     g_eff = t / w
     g_fun = space.function(g_eff)
@@ -212,8 +215,8 @@ def _unit_ball_pairing_sup(t: np.ndarray, psi: PsiFunction,
     ) | {min(max(bound.arginf_q, q_lo), q_cap)})
     absg = np.abs(g_eff)
     sgn = np.sign(g_eff)
-    seeds = [sgn.copy(), g_eff.copy()]
     max_abs = float(np.max(absg))
+    seeds = [sgn.copy(), g_eff / math.ldexp(1.0, math.frexp(max_abs)[1])]
     for q in q_seeds:
         with np.errstate(divide="ignore", invalid="ignore"):
             prof = np.where(absg > 0, (absg / max_abs) ** (q - 1.0), 0.0)
@@ -231,7 +234,7 @@ def _unit_ball_pairing_sup(t: np.ndarray, psi: PsiFunction,
         rescored = _score(fv, t, space, psi, grid)[0]
         if rescored > best_val:
             best_val = rescored
-    return float(best_val)
+    return float(best_val) * t_max
 
 
 def associate_norm_oracle(g: MeasurableFunction, psi: PsiFunction,

@@ -3,9 +3,9 @@
 Everything heavier in this package (grand norms, associate bounds, Orlicz
 norms) reduces to weighted p-norms on a finite atom set.  This module is that
 substrate: an immutable space type, function values bound to it, integration,
-and p-norms.  Large exponents and exponent scans accumulate in the log domain
-through one row-wise log-sum-exp that works on a small reused block of rows,
-so a scan over many exponents never holds the full exponent-by-atom matrix.
+and p-norms: m (sum w (|f|/m)^p)^(1/p) with m = max|f|, from sorted log
+ratios, so no term overflows and none below the normal range reaches exp;
+exponent scans work on a small reused block of rows at a time.
 """
 from __future__ import annotations
 
@@ -33,13 +33,14 @@ __all__ = [
     "parse_space_dict",
 ]
 
-#: exponent above which p-norm accumulation switches to log-sum-exp
-LOG_DOMAIN_EXPONENT = 50.0
-
 PROBABILITY_TOL = 1e-12
 
-#: doubles in the block buffer of _outer_logsumexp
+#: doubles in the block buffer of lp_norms and _outer_logsumexp
 _LSE_BLOCK = 2 ** 16
+
+#: exp(x) >= 2^-1022 for x >= _EXP_FLOOR; below it exp is far slower
+_EXP_FLOOR = -708.0
+_kept_terms: tuple = (None, None)  # (function, its _power_terms)
 
 
 @dataclass(frozen=True)
@@ -170,7 +171,7 @@ def uniform_probability_space(n: int) -> DiscreteMeasureSpace:
 
 def _check_bound(f: MeasurableFunction, space: DiscreteMeasureSpace | None
                  ) -> DiscreteMeasureSpace:
-    if space is None:
+    if space is None or space is f.space:
         return f.space
     if f.space != space:
         raise ValueError("function is not bound to the given measure space")
@@ -191,54 +192,76 @@ def ess_sup(f: MeasurableFunction,
     return float(np.max(np.abs(f.value_array)))
 
 
+def _power_terms(f: MeasurableFunction
+                 ) -> tuple[float, np.ndarray, np.ndarray]:
+    """(top, lam, w): top = max|f|, lam = -ln(|f_i| / top) over the nonzero
+    atoms in ascending order, w their weights.  Kept for the latest function
+    only: its scan and polish reuse them; more would cost memory per atom."""
+    global _kept_terms
+    kept_f, terms = _kept_terms
+    if kept_f is f:
+        return terms
+    order = np.abs(f.value_array).argsort()[::-1]
+    order = order[:np.count_nonzero(f.value_array)]
+    lam = np.abs(f.value_array)[order]  # each abs array dies on its line
+    top = float(lam[0]) if lam.size else 0.0
+    lam /= top
+    np.negative(np.log(lam, out=lam), out=lam)
+    _kept_terms = (f, (top, lam, f.space.weight_array[order]))
+    return _kept_terms[1]
+
+
 def lp_norm(f: MeasurableFunction, p: float,
             space: DiscreteMeasureSpace | None = None) -> float:
-    """Weighted p-norm (sum |f|^p dmu)^(1/p) for p in [1, inf].
+    """Weighted p-norm (sum |f|^p dmu)^(1/p) for p in [1, inf), ess sup at inf.
 
-    Exponents above LOG_DOMAIN_EXPONENT accumulate in the log domain so that
-    large p never overflows; p = inf is the essential supremum.
+    top * (sum w_i exp(-p lam_i))^(1/p) (see _power_terms): no term exceeds
+    its weight and the top atoms add their whole weight, so nothing overflows
+    or underflows, and f * 2^k has exactly 2^k times the norm.  One binary
+    search cuts the terms below exp(_EXP_FLOOR) w_i < 2^-1022 w_i before
+    exp, negligible against a sum of at least the top weight.
     """
-    space = _check_bound(f, space)
+    _check_bound(f, space)
     p = float(p)
     if not p >= 1.0:
         raise ValueError(f"p-norms need p >= 1, got {p}")
-    if math.isinf(p):
-        return ess_sup(f, space)
-    absvals = np.abs(f.value_array)
-    w = space.weight_array
-    if p <= LOG_DOMAIN_EXPONENT:
-        return float(np.dot(absvals ** p, w) ** (1.0 / p))
-    nz = absvals > 0.0
-    if not nz.any():
-        return 0.0
-    ln_sum = _outer_logsumexp(np.array([p]), np.log(absvals[nz]),
-                              np.log(w[nz]))[0]
-    return float(math.exp(ln_sum / p))
+    top, lam, w = _power_terms(f)
+    if top == 0.0 or math.isinf(p):
+        return top
+    cut = -_EXP_FLOOR / p
+    hi = lam.size if lam[-1] <= cut else lam.searchsorted(cut, side="right")
+    terms = -p * lam[:hi]
+    return top * float(np.dot(np.exp(terms, out=terms), w[:hi])) ** (1.0 / p)
 
 
 def lp_norms(f: MeasurableFunction, ps,
              space: DiscreteMeasureSpace | None = None) -> np.ndarray:
-    """Vectorized p-norms over an array of exponents.
-
-    Each ln sum w|f|^p is a row-wise log-sum-exp over the nonzero atoms,
-    computed a block of exponents at a time, so memory stays near 2^16
-    doubles however many exponents and atoms there are.  Agrees with lp_norm
-    to near machine precision, and exactly at p = inf (the essential
-    supremum); meant for the inner loops of sup/inf scans.
-    """
-    space = _check_bound(f, space)
+    """Vectorized p-norms: lp_norm's sums a block of exponents at a time in
+    one buffer of about _LSE_BLOCK doubles, the entries that one exponent
+    cuts and another keeps set to -inf before exp.  Agrees with lp_norm to
+    near machine precision, and exactly at p = inf (the ess sup)."""
+    _check_bound(f, space)
     ps = np.asarray(ps, dtype=float)
     if not np.all(ps >= 1.0):
         raise ValueError("p-norms need p >= 1")
-    absvals = np.abs(f.value_array)
-    nz = absvals > 0.0
-    if not nz.any():
-        return np.zeros_like(ps)
-    logs = np.log(absvals[nz])
-    logw = np.log(space.weight_array[nz])
-    out = np.full(ps.shape, np.max(absvals))  # p = inf: the ess sup
+    top, lam, w = _power_terms(f)
+    out = np.full(ps.shape, top)  # p = inf: the ess sup
+    if top == 0.0:
+        return out
     fin = ~np.isinf(ps)
-    out[fin] = np.exp(_outer_logsumexp(ps[fin], logs, logw) / ps[fin])
+    pf = ps[fin]
+    ends = lam.searchsorted(-_EXP_FLOOR / pf, side="right")
+    sums = np.empty(pf.size)
+    rows = max(1, _LSE_BLOCK // lam.size)
+    buf = np.empty(min(rows, pf.size) * lam.size)
+    for i in range(0, pf.size, rows):
+        hi = ends[i:i + rows]
+        mat = buf[:hi.size * hi.max()].reshape(hi.size, -1)
+        np.multiply.outer(-pf[i:i + rows], lam[:hi.max()], out=mat)
+        if hi.min() < hi.max():
+            mat[mat < _EXP_FLOOR] = -np.inf
+        np.dot(np.exp(mat, out=mat), w[:hi.max()], out=sums[i:i + hi.size])
+    out[fin] = top * sums ** (1.0 / pf)
     return out
 
 

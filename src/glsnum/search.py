@@ -294,7 +294,8 @@ def min_feasible(feasible: Callable[[float], bool], x0: float, *,
         else:
             raise NoFeasiblePoint("bracket expansion budget exhausted")
     while (hi - lo) > rel_tol * hi:
-        mid = math.sqrt(lo * hi)
+        mid = (math.sqrt(lo * hi) if 2.0 ** -1022 <= lo * hi < math.inf
+               else lo * math.sqrt(hi / lo))  # lo * hi left that range
         if not (lo < mid < hi):
             break
         if feasible(mid):
@@ -358,9 +359,12 @@ def min_feasible_batch(feasible: Callable[[np.ndarray, np.ndarray],
             raise err
     act = np.flatnonzero((hi - lo) > rel_tol * hi)
     while act.size:
-        with np.errstate(over="ignore"):  # inf fails the test below
-            mid = np.sqrt(lo[act] * hi[act])
-        inside = (lo[act] < mid) & (mid < hi[act])
+        lo_a, hi_a = lo[act], hi[act]
+        with np.errstate(over="ignore"):  # min_feasible's midpoint, per row
+            mid = lo_a * hi_a
+            normal = (mid >= 2.0 ** -1022) & (mid < np.inf)
+            mid = np.where(normal, np.sqrt(mid), lo_a * np.sqrt(hi_a / lo_a))
+        inside = (lo_a < mid) & (mid < hi_a)
         act, mid = act[inside], mid[inside]
         if act.size == 0:
             break

@@ -273,11 +273,11 @@ def test_theorem_bound_check(rng):
 _PINNED = [
     ("extremal", lambda: make_extremal_psi(3.0), [0.2, 0.3, 0.1, 0.4],
      [1.5, -0.4, 2.2, 0.7], [0.3, -1.1, 0.8, 0.05],
-     "0x1.00aa180bdea96p+0", "0x1.69e786f79e195p+1"),
+     "0x1.00aa180bdea95p+0", "0x1.69e786f79e195p+1"),
     ("power-2", lambda: make_power_psi(2.0),
      [0.5, 1.0, 0.25, 0.75, 1.5, 0.125],
      [2.5, -1.25, 0.5, 3.0, -0.1, 1.75], [0.6, 0.2, -0.9, 1.3, 0.45, -0.3],
-     "0x1.7ffffffffffffp+1", "0x1.85a1873bcd899p+1"),
+     "0x1.7ffffffffffffp+1", "0x1.85a18755f258ap+1"),
     ("power-1", lambda: make_power_psi(1.0), [1.0] * 12,
      [0.1 * k - 0.55 + 0.013 * k * k for k in range(12)],
      [(-1.0) ** k * (0.2 + 0.07 * k) for k in range(12)],
@@ -286,10 +286,10 @@ _PINNED = [
                                      [1.0, 1.2, 1.5, 2.4, 4.0]),
      [0.1, 0.2, 0.3, 0.15, 0.25], [3.0, -0.5, 1.0, 0.25, -2.0],
      [0.5, 0.5, -0.25, 1.5, 0.75],
-     "0x1.c86d48b460646p+0", "0x1.53b135dfab6b3p+2"),
+     "0x1.c86d48b38fd67p+0", "0x1.53b135e0ec4d2p+2"),
     ("companion", lambda: psi_from_phi(quadratic_phi()), [0.3, 0.3, 0.4],
      [1.0, -2.0, 0.5], [0.7, 0.1, -0.4],
-     "0x1.b72b0398a9d1ep+0", "0x1.f9ff8ee46c86ap+0"),
+     "0x1.b72b0398a9d1fp+0", "0x1.f9ff8ee46c86ap+0"),
     ("power-3-two-atoms", lambda: make_power_psi(3.0), [0.7, 0.3],
      [4.0, -1.0], [0.2, 0.9],
      "0x1.ff99ac7c1ab1bp+1", "0x1.029c65a1691d4p+1"),
