@@ -22,10 +22,10 @@ import numpy as np
 from glsnum.glnorm import DEFAULT_GRID, gls_norm
 from glsnum.measure import (DiscreteMeasureSpace, MeasurableFunction,
                             _outer_logsumexp, _read_json)
-from glsnum.psi import PsiFunction
+from glsnum.psi import PsiFunction, _normalizing_infimum
 from glsnum.search import (GridSpec, NoFeasiblePoint, NoInfeasiblePoint,
-                           _on_interval, grid_refine_max, increasing_inverse,
-                           log_grid, min_feasible, min_feasible_batch)
+                           _on_interval, increasing_inverse, log_grid,
+                           min_feasible, min_feasible_batch)
 
 __all__ = [
     "PhiFunction",
@@ -306,14 +306,7 @@ def psi_from_phi(phi: PhiFunction, *, normalize: bool = True,
     scale = 1.0
     if normalize:
         hi = min(sup_phi * (1 - 1e-9), p_max)
-        probes = log_grid(1.0, hi, grid_points)
-        vals = raw(probes)
-        _, neg_min, _ = grid_refine_max(lambda p: -float(raw(p)), probes,
-                                        values=-vals, rel_tol=1e-12,
-                                        refine_in_log=True)
-        scale = -neg_min
-        if not (scale > 0 and math.isfinite(scale)):
-            raise ValueError("normalization scan failed")
+        scale = _normalizing_infimum(raw, log_grid(1.0, hi, grid_points))
     return PsiFunction(
         a=1.0, b=sup_phi, include_a=True, include_b=False,
         interior=lambda p: raw(p) / scale,

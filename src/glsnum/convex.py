@@ -19,7 +19,7 @@ import numpy as np
 
 from glsnum.psi import PsiFunction
 from glsnum.search import (GridSpec, _on_interval, grid_refine_max,
-                           grid_refine_max_batch, linear_grid)
+                           grid_refine_max_batch, interval_grid)
 
 __all__ = [
     "RealFunction1D",
@@ -66,19 +66,17 @@ class RealFunction1D:
                             self.hi_included, self.fn)
 
     def scan_grid(self, points: int) -> np.ndarray:
-        span = self.hi - self.lo
-        lo_eff = self.lo if self.lo_included else self.lo + 1e-9 * span
-        hi_eff = self.hi if self.hi_included else self.hi - 1e-9 * span
-        return linear_grid(lo_eff, hi_eff, points)
+        return interval_grid(self.lo, self.hi, self.lo_included,
+                             self.hi_included, points, log=False)[0]
 
 
 def h_of(psi: PsiFunction, *, cap: float = 200.0) -> RealFunction1D:
-    """h(p) = p * ln(psi(p)) on the support of psi, clipped to [a, cap]."""
+    """h(p) = p * ln(psi(p)) on the support of psi, clipped to [a, cap]; h's
+    interval check is the only one, fn takes psi's formula unmasked."""
     lo, hi, capped = psi.effective_interval(cap)
 
     def fn(p: np.ndarray) -> np.ndarray:
-        vals = np.asarray(psi(p), dtype=float)
-        return p * np.log(vals)
+        return p * np.log(psi.interior(p))
 
     return RealFunction1D(lo=lo, hi=hi, fn=fn,
                           lo_included=psi.include_a,
@@ -111,8 +109,8 @@ def young_fenchel_point(h: RealFunction1D, v: float,
         objective = v * zs - h(zs)
 
     def scalar(z: float) -> float:
-        hz = h(z)
-        if not np.isfinite(hz):
+        hz = h(z)  # a Python float
+        if not math.isfinite(hz):
             return -math.inf
         return v * z - hz
 

@@ -117,27 +117,29 @@ def associate_bound(g: MeasurableFunction, psi: PsiFunction,
 
 def _score(fv: np.ndarray, t: np.ndarray, space: DiscreteMeasureSpace,
            psi: PsiFunction, grid: GridSpec
-           ) -> tuple[float, float, GlsNormResult | None]:
-    """(ratio, pairing, grand norm) of fv: ratio (f . t) / ||f||_G, or 0.0
-    when the pairing is not positive (no norm is computed then) or the norm
-    is not positive and finite."""
+           ) -> tuple[float, float, GlsNormResult | None,
+                      MeasurableFunction | None]:
+    """(ratio, pairing, grand norm, f) of fv: ratio (f . t) / ||f||_G, or
+    0.0 when the pairing is not positive (no norm is computed and no f built
+    then) or the norm is not positive and finite."""
     num = float(fv @ t)
     if num <= 0.0:
-        return 0.0, num, None
-    res = gls_norm(space.function(fv), psi, space, grid)
+        return 0.0, num, None, None
+    f = space.function(fv)
+    res = gls_norm(f, psi, space, grid)
     if res.value <= 0.0 or not math.isfinite(res.value):
-        return 0.0, num, res
-    return num / res.value, num, res
+        return 0.0, num, res, f
+    return num / res.value, num, res, f
 
 
-def _gls_subgradient(fv: np.ndarray, space: DiscreteMeasureSpace,
+def _gls_subgradient(fv: np.ndarray, f: MeasurableFunction,
                      psi: PsiFunction, p_star: float) -> np.ndarray:
-    """Subgradient of the grand norm at fv through its maximizing exponent:
-    d_i = w_i sign(f_i) (|f_i| / |f|_p)^(p-1) / psi(p), stabilized in the log
-    domain."""
-    w = space.weight_array
+    """Subgradient of the grand norm at fv, bound to its space as f, through
+    its maximizing exponent: d_i = w_i sign(f_i) (|f_i| / |f|_p)^(p-1) /
+    psi(p), stabilized in the log domain."""
+    w = f.space.weight_array
     absf = np.abs(fv)
-    lp = lp_norm(space.function(fv), p_star, space)
+    lp = lp_norm(f, p_star)
     if lp <= 0:
         return np.zeros_like(fv)
     denom = psi(p_star)
@@ -156,26 +158,26 @@ def _hill_climb(fv: np.ndarray, t: np.ndarray, space: DiscreteMeasureSpace,
     Each iterate is scored once: the current point carries the score its
     step computed.  Returns fv itself when no step improves on it.
     """
-    cur_val, cur_num, cur_res = _score(fv, t, space, psi, grid)
+    cur_val, cur_num, cur_res, cur_f = _score(fv, t, space, psi, grid)
     best_val, best_f = cur_val, fv
     cur = fv
     eta = 0.5
     for _ in range(iterations):
         if cur_num <= 0 or cur_res.value <= 0:
             break
-        d = _gls_subgradient(cur, space, psi, cur_res.argmax_p)
+        d = _gls_subgradient(cur, cur_f, psi, cur_res.argmax_p)
         grad = t / cur_num - d / cur_res.value  # gradient of ln(ratio)
         scale = float(np.max(np.abs(grad)))
         if scale == 0 or not math.isfinite(scale):
             break
         step = grad / scale * float(np.max(np.abs(cur)))
         cand = cur + eta * step
-        cand_val, cand_num, cand_res = _score(cand, t, space, psi, grid)
-        if cand_val > cur_val:
-            cur, cur_val, cur_num, cur_res = cand, cand_val, cand_num, cand_res
+        scored = _score(cand, t, space, psi, grid)
+        if scored[0] > cur_val:
+            cur, (cur_val, cur_num, cur_res, cur_f) = cand, scored
             eta = min(eta * 1.3, 1.0)
-            if cand_val > best_val:
-                best_val, best_f = cand_val, cand
+            if cur_val > best_val:
+                best_val, best_f = cur_val, cand
         else:
             eta *= 0.5
             if eta < 1e-6:

@@ -26,13 +26,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from glsnum.convex import (CONJUGATE_GRID, ConjugatePoint, RealFunction1D,
-                           h_of, young_fenchel_table)
+                           h_of, young_fenchel_point, young_fenchel_table)
 from glsnum.glnorm import DEFAULT_GRID, gls_norm
 from glsnum.measure import (DiscreteMeasureSpace, MeasurableFunction,
                             _check_bound, integrate)
 from glsnum.psi import PsiFunction
 from glsnum.search import (GridSpec, NoFeasiblePoint, NoInfeasiblePoint,
-                           grid_refine_max, linear_grid, min_feasible)
+                           min_feasible)
 
 __all__ = [
     "YoungFunction",
@@ -174,23 +174,14 @@ def luxemburg_norm(f: MeasurableFunction, N: YoungFunction,
 def conjugate_young_point(N: YoungFunction, v: float, *,
                           u_max: float = DEFAULT_U_MAX,
                           grid: GridSpec = CONJUGATE_GRID) -> ConjugatePoint:
-    """N*(v) = sup_{u >= 0} (|v| u - N(u)), scanned on [0, u_max]."""
-    v = abs(float(v))
-    us = linear_grid(0.0, u_max, grid.points)
-    with np.errstate(invalid="ignore"):
-        objective = v * us - N(us)
-
-    def scalar(u: float) -> float:
-        nu = float(N(u))
-        if math.isinf(nu):
-            return -math.inf
-        return v * u - nu
-
-    u_star, value, _ = grid_refine_max(scalar, us, values=objective,
-                                       rel_tol=grid.rel_tol)
-    hit_cap = bool(u_star >= us[-2])
-    return ConjugatePoint(value=float(max(value, 0.0)),
-                          argmax_z=float(u_star), hit_cap=hit_cap)
+    """N*(v) = sup_{u >= 0} (|v| u - N(u)) floored at 0: young_fenchel_point
+    of N on [0, u_max], the cap standing in for u = inf.  A u where N is not
+    finite (inf or NaN) scores -inf, so each node of conjugate_young_function
+    carries this value bit for bit."""
+    on_scan = RealFunction1D(0.0, u_max, N, capped=True, label=N.label)
+    pt = young_fenchel_point(on_scan, abs(float(v)), grid)
+    return ConjugatePoint(value=max(pt.value, 0.0), argmax_z=pt.argmax_z,
+                          hit_cap=pt.hit_cap)
 
 
 def conjugate_young(N: YoungFunction, v: float, *,
@@ -214,8 +205,7 @@ def conjugate_young_function(N: YoungFunction, *,
     only; trusted_up_to records where certification ends.
     """
     ys = np.geomspace(y_min, y_max, table_points)
-    # N on the scan interval [0, u_max], the cap standing in for u = inf:
-    # its Young conjugate at each node is conjugate_young_point's value
+    # the interval conjugate_young_point scans: each node carries its value
     on_scan = RealFunction1D(0.0, u_max, N, capped=True, label=N.label)
     values, _, hit_cap = young_fenchel_table(on_scan, ys, grid)
     values = np.where(0.0 > values, 0.0, values)  # as max(value, 0.0)

@@ -24,7 +24,7 @@ import numpy as np
 from glsnum.measure import (DiscreteMeasureSpace, MeasurableFunction,
                             _read_json, lp_norms)
 from glsnum.search import (GridSpec, _interval_mask, _on_interval,
-                           grid_refine_max, log_grid)
+                           grid_refine_max, interval_grid, log_grid)
 
 __all__ = [
     "PsiFunction",
@@ -113,16 +113,10 @@ class PsiFunction:
         return self.a, hi, capped
 
     def scan_grid(self, grid: GridSpec) -> tuple[np.ndarray, bool]:
-        """Log-spaced scan grid over the effective support.
-
-        Included endpoints are grid nodes; excluded ones are offset inward by
-        1e-9 of the interval length.  Returns (grid, capped).
-        """
-        lo, hi, capped = self.effective_interval(grid.cap)
-        span = hi - lo
-        lo_eff = lo if self.include_a else lo + 1e-9 * span
-        hi_eff = hi if (self.include_b or capped) else hi - 1e-9 * span
-        return log_grid(lo_eff, hi_eff, grid.points), capped
+        """Log-spaced interval_grid over the support, capped at grid.cap;
+        returns (grid, capped)."""
+        return interval_grid(self.a, self.b, self.include_a, self.include_b,
+                             grid.points, cap=grid.cap)
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,16 +147,8 @@ class AdjacentFunction:
 
     def scan_grid(self, grid: GridSpec) -> tuple[np.ndarray, bool]:
         """Log-spaced grid over the domain, capped at grid.cap from above."""
-        lo = self.q_lower
-        hi = min(self.q_upper, grid.cap)
-        capped = self.q_upper > grid.cap
-        if not lo < hi:
-            raise ValueError(
-                f"empty adjacent domain after capping: [{lo}, {hi}]")
-        span = hi - lo
-        lo_eff = lo if self.lower_included else lo + 1e-9 * span
-        hi_eff = hi if (self.upper_included or capped) else hi - 1e-9 * span
-        return log_grid(lo_eff, hi_eff, grid.points), capped
+        return interval_grid(self.q_lower, self.q_upper, self.lower_included,
+                             self.upper_included, grid.points, cap=grid.cap)
 
 
 def adjacent(psi: PsiFunction) -> AdjacentFunction:
@@ -189,6 +175,18 @@ def _check_normalized(psi: PsiFunction, *, points: int = 512) -> PsiFunction:
                 f"(min {float(np.min(vals))!r}); generating functions are "
                 "normalized to infimum 1")
     return psi
+
+
+def _normalizing_infimum(raw: Callable, probes: np.ndarray) -> float:
+    """Infimum of raw by a scan of the log grid probes and a golden-section
+    polish in log p: the constant that normalizes raw to infimum 1."""
+    _, neg_min, _ = grid_refine_max(lambda p: -float(raw(p)), probes,
+                                    values=-raw(probes), rel_tol=1e-12,
+                                    refine_in_log=True)
+    c = -neg_min
+    if not (c > 0 and math.isfinite(c)):
+        raise ValueError("could not normalize: infimum not positive/finite")
+    return c
 
 
 def make_extremal_psi(r: float) -> PsiFunction:
@@ -232,12 +230,7 @@ def make_sv_psi(m: float, L: Callable[[np.ndarray], np.ndarray], *,
     if np.any(~np.isfinite(lvals)) or np.any(lvals <= 0):
         raise ValueError("the slowly varying factor must be positive and "
                          "finite on [1, p_max]")
-    vals = raw(probes)
-    _, neg_min, _ = grid_refine_max(lambda p: -raw(p), probes, values=-vals,
-                                    rel_tol=1e-12, refine_in_log=True)
-    c = -neg_min
-    if not (c > 0 and math.isfinite(c)):
-        raise ValueError("could not normalize: infimum not positive/finite")
+    c = _normalizing_infimum(raw, probes)
     return _check_normalized(PsiFunction(
         a=1.0, b=math.inf, include_a=True, include_b=False,
         interior=lambda p: raw(p) / c,
@@ -365,15 +358,15 @@ def psi_from_descriptor(desc) -> PsiFunction:
 
 
 def export_psi_csv(psi: PsiFunction, path, p_grid=None) -> None:
-    """Write a p,psi table.  Tabulated functions dump their own nodes; the
-    closed-form families are sampled on a log grid over the effective
-    support."""
+    """Write a p,psi table that load_psi_csv reads back.  Tabulated
+    functions dump their own nodes; the closed-form families are sampled on
+    their 256-point scan grid under the cap 200, where excluded endpoints
+    sit just inside the support instead of writing their +inf."""
     if psi.table is not None and p_grid is None:
         nodes, values = psi.table
     else:
         if p_grid is None:
-            lo, hi, _ = psi.effective_interval(200.0)
-            p_grid = log_grid(lo, hi, 256)
+            p_grid = psi.scan_grid(GridSpec(points=256, cap=200.0))[0]
         nodes = np.asarray(p_grid, dtype=float)
         values = psi(nodes)
     with Path(path).open("w", newline="") as fh:

@@ -72,6 +72,23 @@ def linear_grid(lo: float, hi: float, n: int) -> np.ndarray:
     return np.linspace(lo, hi, n)
 
 
+def interval_grid(lo: float, hi: float, include_lo: bool, include_hi: bool,
+                  points: int, *, cap: float = math.inf,
+                  log: bool = True) -> tuple[np.ndarray, bool]:
+    """(grid, capped): a scan grid of the interval from lo to hi clipped to
+    cap (geometric, or linear when log is false), capped when the cap cut
+    it.  Included ends and the cap are nodes; excluded ends sit 1e-9 of the
+    clipped length inside."""
+    top = min(hi, cap)
+    if not lo < top:
+        raise ValueError(f"empty interval after capping: [{lo}, {top}]")
+    capped = hi > cap
+    span = top - lo
+    lo_eff = lo if include_lo else lo + 1e-9 * span
+    hi_eff = top if (include_hi or capped) else top - 1e-9 * span
+    return (log_grid if log else linear_grid)(lo_eff, hi_eff, points), capped
+
+
 def _interval_mask(x: np.ndarray, lo: float, hi: float, include_lo: bool,
                    include_hi: bool) -> np.ndarray:
     """Membership of each element of x in the interval from lo to hi, each

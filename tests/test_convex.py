@@ -11,7 +11,9 @@ from glsnum.convex import (ConjugatePoint, RealFunction1D,
                            exponent_V, growth_report_for_psi, h_of,
                            young_fenchel, young_fenchel_point,
                            young_fenchel_table)
-from glsnum.psi import make_exp_psi, make_extremal_psi, make_power_psi
+from glsnum.bphi import psi_from_phi, quadratic_phi
+from glsnum.psi import (PsiFunction, make_exp_psi, make_extremal_psi,
+                        make_power_psi)
 from glsnum.search import GridSpec
 
 
@@ -231,3 +233,26 @@ def test_h_of_respects_cap():
     h2 = h_of(make_extremal_psi(3.0), cap=50.0)
     assert h2.hi == 3.0
     assert not h2.capped
+
+
+@pytest.mark.parametrize("make_psi", [
+    lambda: psi_from_phi(quadratic_phi(3.0)),
+    lambda: PsiFunction(1.0, 5.0, False, False,
+                        interior=lambda p: 1.0 + 0.1 * (p - 3.0) ** 2),
+], ids=["from_phi", "open"])
+def test_h_of_matches_psi_at_its_endpoints(make_psi):
+    # h takes psi's formula without psi's support mask: its own interval is
+    # psi's support (right end open below the cap), so both give the same
+    # bits at the endpoints, the next floats inward, and +inf where excluded
+    psi = make_psi()
+    h = h_of(psi)
+    assert h.hi == psi.b < 200.0 and not h.hi_included and not h.capped
+    zs = np.array([h.lo, np.nextafter(h.lo, h.hi), np.nextafter(h.hi, h.lo),
+                   h.hi])
+    expected = zs * np.log(np.asarray(psi(zs), dtype=float))
+    assert h(zs).tobytes() == expected.tobytes()
+    for z, e in zip(zs, expected):
+        assert float(h(float(z))).hex() == float(z * np.log(psi(float(z)))
+                                                 ).hex() == float(e).hex()
+    assert math.isinf(h(h.hi))
+    assert math.isinf(h(h.lo)) == (not psi.include_a)

@@ -171,6 +171,25 @@ def test_conjugate_young_point_fields():
     assert not pt.hit_cap
 
 
+@pytest.mark.parametrize("name, y, value, argmax, hit_cap", [
+    ("power", 0.0, "0x0.0p+0", "0x0.0p+0", False),
+    ("power", -3.0, "0x1.2000000000000p+1", "0x1.7fffffae5ae7dp+0", False),
+    ("power", 1e3, "0x1.3880000000000p+17", "0x1.9000000000000p+7", True),
+    ("N_pow2", 0.0, "0x0.0p+0", "0x0.0p+0", False),
+    ("N_pow2", -3.0, "0x1.10c492e2435aap+2", "0x1.5bf0a8b1492d7p+1", False),
+    ("N_pow2", 1e300, "0x1.2aa4f4a405be2p+1004", "0x1.9000000000000p+7",
+     True),
+])
+def test_conjugate_young_point_pinned(name, y, value, argmax, hit_cap):
+    # bits of the point conjugate at 0, at a negative slope (|y| is used)
+    # and at a slope whose maximizer lies beyond the scan cap u = 200
+    N = (power_young(2.0) if name == "power"
+         else build_N(make_power_psi(2.0)))
+    pt = conjugate_young_point(N, y)
+    assert (pt.value.hex(), pt.argmax_z.hex(), pt.hit_cap) == (
+        value, argmax, hit_cap)
+
+
 def test_conjugate_function_never_undershoots(rng):
     # the tabulated conjugate must stay >= pointwise conjugate values:
     # convexity makes the chords an overestimate, which keeps Hoelder

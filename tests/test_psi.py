@@ -175,6 +175,26 @@ def test_table_round_trip(tmp_path):
     assert np.max(np.abs(again - orig) / (1.0 + orig)) <= 1e-9
 
 
+@pytest.mark.parametrize("make_psi", [
+    lambda: psi_from_phi(quadratic_phi(3.0)),
+    lambda: PsiFunction(1.0, 5.0, False, False,
+                        interior=lambda p: 1.0 + 0.1 * (p - 3.0) ** 2,
+                        label="open"),
+], ids=["from_phi", "open"])
+def test_export_round_trip_with_excluded_endpoints(tmp_path, make_psi):
+    # excluded endpoints are not written (psi is +inf there); the nodes are
+    # the scan grid, just inside the support, and the table loads back
+    from glsnum.search import GridSpec
+    psi = make_psi()
+    path = tmp_path / "psi.csv"
+    export_psi_csv(psi, path)
+    back = load_psi_csv(path)
+    nodes = psi.scan_grid(GridSpec(points=256, cap=200.0))[0]
+    assert back.table[0] == tuple(nodes.tolist())
+    assert back.table[1] == tuple(np.asarray(psi(nodes), float).tolist())
+    assert np.allclose(back(nodes), psi(nodes), rtol=1e-14, atol=0.0)
+
+
 def test_natural_function_single_member(rng):
     # tabulated on 4096 log nodes; between nodes the log-log interpolation
     # carries a few 1e-8 of relative error

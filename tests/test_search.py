@@ -242,6 +242,104 @@ def test_conjugate_young_function_nodes_match_points():
         assert Nc.trusted_up_to == min(hits + [1e6])
 
 
+def test_conjugate_point_and_table_agree_where_young_function_is_nan():
+    # both score a point where N is not finite as -inf; the point path
+    # once compared the NaN itself and differed at 16 of these 64 nodes
+    from glsnum.orlicz import (YoungFunction, conjugate_young_function,
+                               conjugate_young_point)
+    N = YoungFunction("nan-tail",
+                      lambda u: np.where(u > 150.0, np.nan, u ** 2))
+    ys = np.geomspace(1e-8, 1e6, 64)
+    Nc = conjugate_young_function(N, table_points=64)
+    assert Nc(ys).tolist() == [conjugate_young_point(N, float(y)).value
+                               for y in ys]
+
+
+# (grid, capped) hashes and end nodes, 9 points, computed before the three
+# scan_grid methods shared search.interval_grid
+_SCAN_GRID_PINS = {
+    ("psi", True, True, False): ("62211ac61e5f2e8a", "0x1.8000000000000p+0",
+                                 "0x1.c000000000000p+2"),
+    ("psi", True, True, True): ("0532fee7fee878c1", "0x1.8000000000000p+0",
+                                "0x1.0000000000000p+2"),
+    ("psi", True, False, False): ("85387fa4ad44d661", "0x1.8000000000000p+0",
+                                  "0x1.bffffffa182bfp+2"),
+    ("psi", True, False, True): ("0532fee7fee878c1", "0x1.8000000000000p+0",
+                                 "0x1.0000000000000p+2"),
+    ("psi", False, True, False): ("92a68d884fff6923", "0x1.800000179f506p+0",
+                                  "0x1.c000000000000p+2"),
+    ("psi", False, True, True): ("af27c6dc68a8788a", "0x1.8000000abcc77p+0",
+                                 "0x1.0000000000000p+2"),
+    ("psi", False, False, False): ("2f3abe0280b2592e",
+                                   "0x1.800000179f506p+0",
+                                   "0x1.bffffffa182bfp+2"),
+    ("psi", False, False, True): ("af27c6dc68a8788a", "0x1.8000000abcc77p+0",
+                                  "0x1.0000000000000p+2"),
+    ("adjacent", True, True, False): ("4071159e0027dc13",
+                                      "0x1.2aaaaaaaaaaabp+0",
+                                      "0x1.8000000000000p+1"),
+    ("adjacent", True, True, True): ("7764acaab934b2a7",
+                                     "0x1.2aaaaaaaaaaabp+0",
+                                     "0x1.0000000000000p+1"),
+    ("adjacent", True, False, False): ("b0d150ae448443a7",
+                                       "0x1.2aaaaaaaaaaabp+0",
+                                       "0x1.7ffffffc101d4p+1"),
+    ("adjacent", True, False, True): ("7764acaab934b2a7",
+                                      "0x1.2aaaaaaaaaaabp+0",
+                                      "0x1.0000000000000p+1"),
+    ("adjacent", False, True, False): ("703012879deb7a88",
+                                       "0x1.2aaaaab28a702p+0",
+                                       "0x1.8000000000000p+1"),
+    ("adjacent", False, True, True): ("76e0324edb62a97e",
+                                      "0x1.2aaaaaae3eed3p+0",
+                                      "0x1.0000000000000p+1"),
+    ("adjacent", False, False, False): ("62e563a30869103f",
+                                        "0x1.2aaaaab28a702p+0",
+                                        "0x1.7ffffffc101d4p+1"),
+    ("adjacent", False, False, True): ("76e0324edb62a97e",
+                                       "0x1.2aaaaaae3eed3p+0",
+                                       "0x1.0000000000000p+1"),
+    ("real", True, True, False): ("46fa9f55915e93ae", "0x0.0p+0",
+                                  "0x1.c000000000000p+2"),
+    ("real", True, False, False): ("a2be0a2a69e9c7af", "0x0.0p+0",
+                                   "0x1.bffffff87bdadp+2"),
+    ("real", False, True, False): ("cd2378b38d187bcc",
+                                   "0x1.e1094d643f785p-28",
+                                   "0x1.c000000000000p+2"),
+    ("real", False, False, False): ("07028a78d0c9dc74",
+                                    "0x1.e1094d643f785p-28",
+                                    "0x1.bffffff87bdadp+2"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(_SCAN_GRID_PINS), ids=str)
+def test_scan_grids_pinned(key):
+    # psi on [1.5, 7], capped at 4; its adjacent domain [7/6, 3], capped at
+    # 2; a real function on [0, 7], whose grid ignores its capped flag
+    import hashlib
+    from glsnum.convex import RealFunction1D
+    from glsnum.psi import AdjacentFunction, PsiFunction
+    kind, include_lo, include_hi, capped = key
+    psi = PsiFunction(1.5, 7.0, include_lo, include_hi,
+                      interior=lambda p: p ** 0.5)
+    if kind == "psi":
+        grid, was_capped = psi.scan_grid(
+            GridSpec(points=9, cap=4.0 if capped else 200.0))
+    elif kind == "adjacent":
+        nu = AdjacentFunction(psi, 7.0 / 6.0, 3.0, include_lo, include_hi)
+        grid, was_capped = nu.scan_grid(
+            GridSpec(points=9, cap=2.0 if capped else 200.0))
+    else:
+        grids = [RealFunction1D(0.0, 7.0, np.exp, include_lo, include_hi,
+                                capped=flag).scan_grid(9)
+                 for flag in (False, True)]
+        assert grids[0].tobytes() == grids[1].tobytes()
+        grid, was_capped = grids[0], False
+    assert was_capped == capped
+    digest = hashlib.sha256(grid.tobytes()).hexdigest()[:16]
+    assert (digest, grid[0].hex(), grid[-1].hex()) == _SCAN_GRID_PINS[key]
+
+
 def test_psi_from_phi_array_matches_scalar_calls():
     from glsnum.bphi import power_phi, psi_from_phi, quadratic_phi
     for phi in (quadratic_phi(), power_phi(3.0), power_phi(1.5, 4.0)):
