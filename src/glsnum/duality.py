@@ -17,7 +17,11 @@ classical Hoelder inequality tight.  Each iterate of a climb is scored (one
 grand-norm scan) once, and a climb that never leaves its seed is not
 rescored.  The oracle is a certified lower bound;
 together with the adjacent-function upper bound it brackets the associate
-norm, and for the constant-one family the two meet (the bound is attained).
+norm.  When a scored seed is already within the grid's polish tolerance
+rel_tol of that bound, the oracle returns it without climbing: no climb
+could raise it by rel_tol relative.  For the constant-one family on a
+probability space the two meet (the bound is attained), so there the seeds
+alone settle the norm; on a space of larger total mass they need not.
 
 Set functions on the finite algebra are determined by their atom values;
 their total-variation-style norm against the grand unit ball reduces to the
@@ -195,6 +199,12 @@ def _unit_ball_pairing_sup(t: np.ndarray, psi: PsiFunction,
     Hoelder-extremal power profiles sign(g) |g|^(q-1) for a spread of
     exponents q including the minimizer of the adjacent-function bound.
     Seeds and t are scaled by powers of two to max|.| <= 1: no overflow.
+
+    Stop rule: the adjacent-function bound V on the same t is an upper
+    bound on the supremum, so when the best seed scores at least
+    V (1 - grid.rel_tol) it is returned as it is, certified within rel_tol
+    of the supremum, and no climb runs.  Otherwise the two best seeds climb
+    on a 96-point grid and their ends are rescored on the caller's grid.
     """
     if space.n_atoms > ORACLE_ATOM_BUDGET:
         raise ValueError(
@@ -229,6 +239,8 @@ def _unit_ball_pairing_sup(t: np.ndarray, psi: PsiFunction,
         ((_score(s, t, space, psi, grid)[0], i) for i, s in
          enumerate(seeds)), reverse=True)
     best_val = scored[0][0]
+    if best_val >= bound.value * (1.0 - grid.rel_tol):
+        return float(best_val) * t_max  # no climb can gain rel_tol
     for _, idx in scored[:2]:
         fv = _hill_climb(seeds[idx], t, space, psi, coarse, iterations)
         if fv is seeds[idx]:
@@ -247,7 +259,11 @@ def associate_norm_oracle(g: MeasurableFunction, psi: PsiFunction,
     density g: maximizes |integral f g dmu| over the grand unit ball.
 
     The ball is symmetric under f -> -f, so the one-sided supremum of the
-    pairing already equals the supremum of its absolute value.
+    pairing already equals the supremum of its absolute value.  The value
+    is a feasible pairing, at most associate_bound up to rounding; when a
+    seed comes within grid.rel_tol of that bound (as under flat psi on a
+    probability space, where the bound is attained) it is returned without
+    a climb, and the two bracket the norm to rel_tol.
     """
     space = _check_bound(g, space)
     t = g.value_array * space.weight_array

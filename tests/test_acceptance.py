@@ -10,6 +10,7 @@ import json
 
 import numpy as np
 
+import glsnum.verify
 from glsnum.cli import main as cli_main
 from glsnum.verify import _REGISTRY
 
@@ -41,6 +42,18 @@ def test_c10_scaled_growth_condition_checker(): _criterion("C10")
 def test_c11_setfunction_norm_representation(): _criterion("C11")
 def test_c12_mgf_ball_norms(): _criterion("C12")
 def test_c13_grand_norm_axioms(): _criterion("C13")
+
+
+def test_c11_fails_on_a_diverging_setfunction_side(monkeypatch):
+    # a set-function side off by 1e-4 relative must fail C11 (on real inputs
+    # both sides pair the same vector, so only a seeded fault can show this)
+    real = glsnum.verify.setfunction_norm
+    monkeypatch.setattr(glsnum.verify, "setfunction_norm",
+                        lambda *args, **kw: real(*args, **kw) * (1.0 + 1e-4))
+    check = _CHECKS["C11"]
+    result = check.run(np.random.default_rng(111), check.compact)
+    assert result["passed"] is False
+    assert result["scaled_dev"] > result["tolerances"]["scaled_dev"]
 
 
 def test_c14_verification_battery_deterministic(capsys):

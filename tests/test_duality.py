@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from glsnum import (
     GridSpec,
@@ -134,6 +136,32 @@ def test_oracle_tight_for_extremal(rng):
         bound = associate_bound(g, psi, space).value
         oracle = associate_norm_oracle(g, psi, space)
         assert bound - oracle <= 1e-4 * (1.0 + bound)
+
+
+@st.composite
+def _flat_psi_instances(draw):
+    n = draw(st.integers(min_value=2, max_value=12))
+    r = draw(st.floats(min_value=1.5, max_value=6.0))
+    weights = draw(st.lists(st.floats(min_value=0.2, max_value=1.0),
+                            min_size=n, max_size=n))
+    g = draw(st.lists(st.floats(min_value=-3.0, max_value=3.0),
+                      min_size=n, max_size=n))
+    return r, weights, g
+
+
+@given(_flat_psi_instances())
+@settings(max_examples=40, deadline=None)
+def test_oracle_certified_tight_for_extremal(instance):
+    # under flat psi a seed meets the adjacent-function bound to the polish
+    # tolerance, and the oracle returns it: bound and oracle bracket the
+    # associate norm to within 1e-10 relative
+    r, weights, values = instance
+    psi = make_extremal_psi(r)
+    space = probability_space(weights)
+    g = space.function(values)
+    bound = associate_bound(g, psi, space).value
+    oracle = associate_norm_oracle(g, psi, space)
+    assert bound * (1.0 - 1e-10) <= oracle <= bound * (1.0 + 1e-12)
 
 
 def test_oracle_zero_density(rng):
@@ -303,13 +331,9 @@ def _pinned_inputs(case):
                                                            tuple(atoms))
 
 
-@pytest.mark.parametrize("case", [c for c in _PINNED
-                                  if c[0] != "companion"],
-                         ids=lambda c: c[0])
-def test_oracle_scores_each_iterate_once(monkeypatch, case):
-    # every grand-norm scan inside one oracle or set-function-norm call is
-    # of a new (point, grid) pair: the climb reuses the score it holds (the
-    # slow companion case runs the same climb and is left out)
+def _record_scans(monkeypatch):
+    """Swap the grand norm of the oracle for one that records the (point,
+    grid) key of every scan; returns the list it appends to."""
     keys = []
     real = glsnum.duality.gls_norm
 
@@ -318,6 +342,17 @@ def test_oracle_scores_each_iterate_once(monkeypatch, case):
         return real(f, psi, space, grid)
 
     monkeypatch.setattr(glsnum.duality, "gls_norm", recording)
+    return keys
+
+
+@pytest.mark.parametrize("case", [c for c in _PINNED
+                                  if c[0] != "companion"],
+                         ids=lambda c: c[0])
+def test_oracle_scores_each_iterate_once(monkeypatch, case):
+    # every grand-norm scan inside one oracle or set-function-norm call is
+    # of a new (point, grid) pair: the climb reuses the score it holds (the
+    # slow companion case runs the same climb and is left out)
+    keys = _record_scans(monkeypatch)
     psi, space, g, gamma = _pinned_inputs(case)
     for run in (lambda: associate_norm_oracle(g, psi, space),
                 lambda: setfunction_norm(gamma, psi, space)):
@@ -325,6 +360,28 @@ def test_oracle_scores_each_iterate_once(monkeypatch, case):
         run()
         assert keys
         assert len(set(keys)) == len(keys)
+
+
+def test_oracle_skips_the_climb_once_a_seed_meets_the_bound(monkeypatch):
+    # flat psi: a Hoelder-extremal seed attains the adjacent-function bound,
+    # so only the seeds are scored, each once, on the caller's grid; under
+    # power psi (relative gap 1.1e-3 here) the coarse-grid climb still runs
+    keys = _record_scans(monkeypatch)
+    cases = {c[0]: c for c in _PINNED}
+    # the sign and density seeds and at most _SEED_EXPONENTS + 1 profiles
+    n_seeds = glsnum.duality._SEED_EXPONENTS + 3
+    psi, space, g, gamma = _pinned_inputs(cases["extremal"])
+    for run in (lambda: associate_norm_oracle(g, psi, space),
+                lambda: setfunction_norm(gamma, psi, space)):
+        keys.clear()
+        run()
+        assert keys
+        assert {grid for _, grid in keys} == {glsnum.duality.DEFAULT_GRID}
+        assert len(keys) <= n_seeds
+    psi, space, g, _ = _pinned_inputs(cases["power-2"])
+    keys.clear()
+    associate_norm_oracle(g, psi, space)
+    assert any(grid.points == 96 for _, grid in keys)
 
 
 @pytest.mark.parametrize("case", _PINNED, ids=lambda c: c[0])
