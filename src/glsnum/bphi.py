@@ -178,8 +178,7 @@ class RandomVariableSample:
 
 def rademacher(scale: float = 1.0) -> RandomVariableSample:
     """Symmetric +-scale variable with equal masses."""
-    space = DiscreteMeasureSpace(atoms=("minus", "plus"),
-                                 weights=(0.5, 0.5), is_probability=True)
+    space = DiscreteMeasureSpace((0.5, 0.5), is_probability=True)
     return RandomVariableSample(space.function((-scale, scale)))
 
 
@@ -191,8 +190,7 @@ def two_point(x: float, q: float) -> RandomVariableSample:
     if not 0 < q < 1:
         raise ValueError(f"needs q in (0, 1), got {q}")
     y = -q * x / (1.0 - q)
-    space = DiscreteMeasureSpace(atoms=("hi", "lo"), weights=(q, 1.0 - q),
-                                 is_probability=True)
+    space = DiscreteMeasureSpace((q, 1.0 - q), is_probability=True)
     values = np.array([x, y])
     values -= float(np.dot(values, space.weight_array))  # exact recentering
     return RandomVariableSample(space.function(values))
@@ -205,8 +203,7 @@ def discretized_normal(points: int = 401, half_width: float = 8.0
     xs = np.linspace(-half_width, half_width, points)
     dens = np.exp(-0.5 * xs ** 2)
     probs = dens / math.fsum(dens)
-    space = DiscreteMeasureSpace(atoms=tuple(range(points)),
-                                 weights=tuple(probs), is_probability=True)
+    space = DiscreteMeasureSpace(probs, is_probability=True)
     values = xs - float(np.dot(xs, space.weight_array))
     return RandomVariableSample(space.function(values))
 

@@ -73,12 +73,12 @@ class RealFunction1D:
 def h_of(psi: PsiFunction, *, cap: float = 200.0) -> RealFunction1D:
     """h(p) = p * ln(psi(p)) on the support of psi, clipped to [a, cap]; h's
     interval check is the only one, fn takes psi's formula unmasked."""
-    lo, hi, capped = psi.effective_interval(cap)
+    capped = psi.b > cap
 
     def fn(p: np.ndarray) -> np.ndarray:
         return p * np.log(psi.interior(p))
 
-    return RealFunction1D(lo=lo, hi=hi, fn=fn,
+    return RealFunction1D(lo=psi.a, hi=min(psi.b, cap), fn=fn,
                           lo_included=psi.include_a,
                           hi_included=psi.include_b or capped,
                           capped=capped,

@@ -100,7 +100,7 @@ def associate_bound(g: MeasurableFunction, psi: PsiFunction,
             raise ValueError(f"empty restricted q-window [{lo}, {hi}]")
         qs = log_grid(lo, hi, grid.points)
     norms = lp_norms(g, qs, space)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         nu_vals = nu(qs)
         objective = np.where(nu_vals > 0, norms / nu_vals, math.inf)
 

@@ -3,7 +3,9 @@
 Everything heavier in this package (grand norms, associate bounds, Orlicz
 norms) reduces to weighted p-norms on a finite atom set.  This module is that
 substrate: an immutable space type, function values bound to it, integration,
-and p-norms: m (sum w (|f|/m)^p)^(1/p) with m = max|f|, from sorted log
+and p-norms.  A space holds its weights, and a function its values, once: as
+a private read-only 1-d float64 array, validated in one vectorized pass.  The
+p-norms are m (sum w (|f|/m)^p)^(1/p) with m = max|f|, from sorted log
 ratios, so no term overflows and none below the normal range reaches exp;
 exponent scans work on a small reused block of rows at a time.
 """
@@ -13,7 +15,6 @@ import csv
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -43,124 +44,129 @@ _EXP_FLOOR = -708.0
 _kept_terms: tuple = (None, None)  # (function, its _power_terms)
 
 
-@dataclass(frozen=True)
+def _atom_array(values, name: str) -> np.ndarray:
+    """A private read-only float64 copy of one datum per atom."""
+    arr = np.array(values, dtype=float)
+    if arr.ndim != 1:
+        raise ValueError(f"{name} must be one-dimensional, got shape "
+                         f"{arr.shape}")
+    arr.flags.writeable = False
+    return arr
+
+
+@dataclass(frozen=True, eq=False)
 class DiscreteMeasureSpace:
-    """Finite atomic measure: labelled atoms with strictly positive weights.
+    """Finite atomic measure: strictly positive weights, one per atom.
+
+    Spaces with equal weights and probability flags compare equal, so an
+    equal space built separately binds the same functions.
 
     Attributes
     ----------
-    atoms : tuple
-        Hashable atom labels, one per atom.
-    weights : tuple of float
-        Strictly positive, finite atom masses.
+    weights : read-only 1-d float64 array
+        Strictly positive, finite atom masses (a private copy).
     is_probability : bool
         When set, the weights must sum to 1 within 1e-12.
     """
 
-    atoms: tuple
-    weights: tuple
+    weights: np.ndarray
     is_probability: bool = False
 
     def __post_init__(self) -> None:
-        atoms = tuple(self.atoms)
-        weights = tuple(float(w) for w in self.weights)
-        if len(weights) == 0:
+        weights = _atom_array(self.weights, "weights")
+        if weights.size == 0:
             raise ValueError("a measure space needs at least one atom")
-        if len(atoms) != len(weights):
-            raise ValueError(
-                f"{len(atoms)} atom labels for {len(weights)} weights")
-        if len(set(atoms)) != len(atoms):
-            raise ValueError("atom labels must be distinct")
-        for w in weights:
-            if not (w > 0 and math.isfinite(w)):
-                raise ValueError(f"weights must be positive and finite, got {w}")
+        bad = ~((weights > 0) & np.isfinite(weights))
+        if bad.any():
+            raise ValueError("weights must be positive and finite, got "
+                             f"{float(weights[bad][0])}")
+        object.__setattr__(self, "weights", weights)
         if self.is_probability:
-            total = math.fsum(weights)
+            total = self.total_mass
             if abs(total - 1.0) > PROBABILITY_TOL:
                 raise ValueError(
                     f"probability weights sum to {total!r}, not 1")
-        object.__setattr__(self, "atoms", atoms)
-        object.__setattr__(self, "weights", weights)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, DiscreteMeasureSpace):
+            return NotImplemented
+        return (self.is_probability == other.is_probability
+                and np.array_equal(self.weights, other.weights))
 
     @property
     def n_atoms(self) -> int:
-        return len(self.weights)
+        return self.weights.size
 
     @property
     def total_mass(self) -> float:
         return math.fsum(self.weights)
 
-    @cached_property
+    @property
     def weight_array(self) -> np.ndarray:
-        arr = np.array(self.weights, dtype=float)
-        arr.flags.writeable = False
-        return arr
+        return self.weights
 
     def function(self, values) -> "MeasurableFunction":
         """Bind one finite value per atom to this space."""
-        return MeasurableFunction(self, tuple(float(v) for v in values))
+        return MeasurableFunction(self, values)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasurableFunction:
-    """Function on a finite measure space: one finite real per atom."""
+    """Function on a finite measure space: one finite real per atom, held
+    as a read-only 1-d float64 array (a private copy)."""
 
     space: DiscreteMeasureSpace
-    values: tuple
+    values: np.ndarray
 
     def __post_init__(self) -> None:
-        values = tuple(float(v) for v in self.values)
-        if len(values) != self.space.n_atoms:
+        values = _atom_array(self.values, "values")
+        if values.size != self.space.n_atoms:
             raise ValueError(
-                f"{len(values)} values for a space with "
+                f"{values.size} values for a space with "
                 f"{self.space.n_atoms} atoms")
-        for v in values:
-            if not math.isfinite(v):
-                raise ValueError(f"function values must be finite, got {v}")
+        bad = ~np.isfinite(values)
+        if bad.any():
+            raise ValueError("function values must be finite, got "
+                             f"{float(values[bad][0])}")
         object.__setattr__(self, "values", values)
 
-    @cached_property
+    @property
     def value_array(self) -> np.ndarray:
-        arr = np.array(self.values, dtype=float)
-        arr.flags.writeable = False
-        return arr
+        return self.values
 
     def __add__(self, other: "MeasurableFunction") -> "MeasurableFunction":
         _check_bound(other, self.space)
-        return self.space.function(self.value_array + other.value_array)
+        return self.space.function(self.values + other.values)
 
     def __sub__(self, other: "MeasurableFunction") -> "MeasurableFunction":
         _check_bound(other, self.space)
-        return self.space.function(self.value_array - other.value_array)
+        return self.space.function(self.values - other.values)
 
     def __mul__(self, c) -> "MeasurableFunction":
-        return self.space.function(self.value_array * float(c))
+        return self.space.function(self.values * float(c))
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "MeasurableFunction":
-        return self.space.function(-self.value_array)
+        return self.space.function(-self.values)
 
 
-def make_space(weights, atoms=None, probability: bool | None = None
+def make_space(weights, probability: bool | None = None
                ) -> DiscreteMeasureSpace:
     """Build a space from weights; probability=None auto-detects a unit sum."""
-    weights = tuple(float(w) for w in weights)
-    if atoms is None:
-        atoms = tuple(range(len(weights)))
+    weights = np.asarray(weights, dtype=float)
     if probability is None:
-        probability = abs(math.fsum(weights) - 1.0) <= PROBABILITY_TOL
-    return DiscreteMeasureSpace(tuple(atoms), weights, probability)
+        probability = abs(math.fsum(weights.flat) - 1.0) <= PROBABILITY_TOL
+    return DiscreteMeasureSpace(weights, probability)
 
 
-def probability_space(weights, atoms=None) -> DiscreteMeasureSpace:
+def probability_space(weights) -> DiscreteMeasureSpace:
     """Probability space from positive masses, normalized to unit total."""
-    arr = np.asarray(list(weights), dtype=float)
+    arr = np.asarray(weights, dtype=float)
     if arr.size == 0 or np.any(arr <= 0) or not np.all(np.isfinite(arr)):
         raise ValueError("need strictly positive finite masses")
-    arr = arr / math.fsum(arr)
     # fsum keeps the normalized total within one ulp of 1
-    return make_space(arr, atoms=atoms, probability=True)
+    return make_space(arr / math.fsum(arr.flat), probability=True)
 
 
 def uniform_probability_space(n: int) -> DiscreteMeasureSpace:
@@ -206,7 +212,8 @@ def _power_terms(f: MeasurableFunction
     lam = np.abs(f.value_array)[order]  # each abs array dies on its line
     top = float(lam[0]) if lam.size else 0.0
     lam /= top
-    np.negative(np.log(lam, out=lam), out=lam)
+    with np.errstate(divide="ignore"):  # a ratio that underflows to 0: lam inf
+        np.negative(np.log(lam, out=lam), out=lam)
     _kept_terms = (f, (top, lam, f.space.weight_array[order]))
     return _kept_terms[1]
 

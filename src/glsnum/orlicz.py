@@ -178,7 +178,8 @@ def conjugate_young_point(N: YoungFunction, v: float, *,
     of N on [0, u_max], the cap standing in for u = inf.  A u where N is not
     finite (inf or NaN) scores -inf, so each node of conjugate_young_function
     carries this value bit for bit."""
-    on_scan = RealFunction1D(0.0, u_max, N, capped=True, label=N.label)
+    on_scan = RealFunction1D(0.0, u_max, N.eval_abs, capped=True,
+                             label=N.label)
     pt = young_fenchel_point(on_scan, abs(float(v)), grid)
     return ConjugatePoint(value=max(pt.value, 0.0), argmax_z=pt.argmax_z,
                           hit_cap=pt.hit_cap)
@@ -206,7 +207,8 @@ def conjugate_young_function(N: YoungFunction, *,
     """
     ys = np.geomspace(y_min, y_max, table_points)
     # the interval conjugate_young_point scans: each node carries its value
-    on_scan = RealFunction1D(0.0, u_max, N, capped=True, label=N.label)
+    on_scan = RealFunction1D(0.0, u_max, N.eval_abs, capped=True,
+                             label=N.label)
     values, _, hit_cap = young_fenchel_table(on_scan, ys, grid)
     values = np.where(0.0 > values, 0.0, values)  # as max(value, 0.0)
     first_hit = float(ys[np.argmax(hit_cap)]) if hit_cap.any() else math.inf

@@ -102,16 +102,6 @@ class PsiFunction:
         return _on_interval(p, self.a, self.b, self.include_a, self.include_b,
                             self.interior)
 
-    def effective_interval(self, cap: float) -> tuple[float, float, bool]:
-        """Support clipped to [a, cap]; the flag records whether clipping cut
-        anything off."""
-        hi = min(self.b, cap)
-        capped = self.b > cap
-        if not self.a < hi:
-            raise ValueError(
-                f"empty effective support: a={self.a} >= min(b, cap)={hi}")
-        return self.a, hi, capped
-
     def scan_grid(self, grid: GridSpec) -> tuple[np.ndarray, bool]:
         """Log-spaced interval_grid over the support, capped at grid.cap;
         returns (grid, capped)."""
@@ -162,18 +152,14 @@ def adjacent(psi: PsiFunction) -> AdjacentFunction:
 
 
 def _check_normalized(psi: PsiFunction, *, points: int = 512) -> PsiFunction:
-    lo, hi, _ = psi.effective_interval(200.0)
-    probes = log_grid(max(lo, 1.0), hi, points)
-    probes = probes[psi.in_support(probes)]
-    if probes.size:
-        vals = psi(probes)
-        if not np.all(np.isfinite(vals)):
-            raise ValueError(f"{psi.label}: non-finite values on the support")
-        if float(np.min(vals)) < 1.0 - _NORMALIZATION_TOL:
-            raise ValueError(
-                f"{psi.label}: values below 1 on the support "
-                f"(min {float(np.min(vals))!r}); generating functions are "
-                "normalized to infimum 1")
+    vals = psi(psi.scan_grid(GridSpec(points=points, cap=200.0))[0])
+    if not np.all(np.isfinite(vals)):
+        raise ValueError(f"{psi.label}: non-finite values on the support")
+    if float(np.min(vals)) < 1.0 - _NORMALIZATION_TOL:
+        raise ValueError(
+            f"{psi.label}: values below 1 on the support "
+            f"(min {float(np.min(vals))!r}); generating functions are "
+            "normalized to infimum 1")
     return psi
 
 

@@ -10,8 +10,7 @@ from glsnum.verify import _random_space as random_space
 def dense_gls_reference(f, psi, space, points=100_000, cap=200.0):
     """Brute-force grand norm: a very dense scan with no polish.  Used as an
     independent cross-check of the production scan-and-refine path."""
-    lo, hi, _ = psi.effective_interval(cap)
-    ps = log_grid(lo, hi, points)
+    ps = log_grid(psi.a, min(psi.b, cap), points)
     vals = lp_norms(f, ps, space) / np.asarray(psi(ps), dtype=float)
     return float(np.max(vals))
 

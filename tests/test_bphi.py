@@ -124,7 +124,7 @@ def test_phi_from_descriptor(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_sample_requires_probability_space():
-    space = DiscreteMeasureSpace(atoms=("a", "b"), weights=(0.5, 0.7))
+    space = DiscreteMeasureSpace(weights=(0.5, 0.7))
     with pytest.raises(ValueError, match="probability space"):
         RandomVariableSample(space.function([1.0, -1.0]))
 

@@ -3,6 +3,7 @@ pairing oracle, set functions on the finite algebra, and the representation /
 dual-bound reports."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from glsnum import (
     conjugate_exponent,
     ess_sup,
     lp_norm,
+    make_exp_psi,
     make_extremal_psi,
     make_power_psi,
     make_space,
@@ -96,6 +98,19 @@ def test_restricted_window_overestimates_sharply():
     assert truncated.arginf_q == pytest.approx(10.0)
     assert truncated.value > 20.0 * full.value
     assert truncated.value <= 2.0 * ess_sup(g, space)
+
+
+def test_bound_under_exp_psi_is_silent():
+    # psi at conjugate exponents of q near 1 overflows exp; nu is then 0
+    space = make_space([0.5, 0.5])
+    g = space.function([1.0, -2.0])
+    psi = make_exp_psi(1.0, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        unfiltered = associate_bound(g, psi, space)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert associate_bound(g, psi, space) == unfiltered
 
 
 def test_bound_result_to_dict(rng):

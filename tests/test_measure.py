@@ -2,6 +2,7 @@ import math
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -11,10 +12,12 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 import glsnum
+from glsnum.duality import SetFunction, setfunction_norm
 from glsnum.measure import (_LSE_BLOCK, DiscreteMeasureSpace, _outer_logsumexp,
                             ess_sup, integrate, load_csv, load_json, lp_norm,
                             lp_norms, make_space, parse_space_dict,
                             probability_space, uniform_probability_space)
+from glsnum.psi import make_power_psi, natural_function
 
 weights_st = st.lists(st.floats(min_value=0.05, max_value=5.0),
                       min_size=2, max_size=8)
@@ -38,12 +41,6 @@ def test_space_rejects_bad_weights():
         make_space([1.0, math.inf])
     with pytest.raises(ValueError):
         make_space([])
-
-
-def test_space_rejects_duplicate_atoms():
-    with pytest.raises(ValueError):
-        DiscreteMeasureSpace(atoms=("a", "a"), weights=(0.5, 0.5),
-                             is_probability=True)
 
 
 def test_probability_flag_consistency():
@@ -95,6 +92,85 @@ def test_weight_array_read_only():
         s.weight_array[0] = 5.0
 
 
+def test_atom_data_held_once_as_read_only_arrays():
+    s = make_space([1.0, 2.0])
+    f = s.function([3, -4])
+    for arr, alias in ((s.weights, s.weight_array), (f.values, f.value_array)):
+        assert isinstance(arr, np.ndarray) and arr.dtype == np.float64
+        assert arr.ndim == 1 and not arr.flags.writeable
+        assert arr is alias
+
+
+def test_atom_arrays_are_private_copies():
+    w = np.array([0.25, 0.75])
+    v = np.array([1.0, -2.0])
+    s = DiscreteMeasureSpace(w, is_probability=True)
+    f = s.function(v)
+    w[0], v[0] = 9.0, 9.0
+    assert s.weights.tolist() == [0.25, 0.75]
+    assert f.values.tolist() == [1.0, -2.0]
+    fresh = make_space([0.25, 0.75]).function([1.0, -2.0])
+    assert lp_norm(f, 2.0) == lp_norm(fresh, 2.0)
+
+
+def test_atom_arrays_must_be_one_dimensional():
+    square = [[0.25, 0.25], [0.25, 0.25]]
+    with pytest.raises(ValueError, match="one-dimensional"):
+        DiscreteMeasureSpace(square)
+    with pytest.raises(ValueError, match="one-dimensional"):
+        make_space(square)
+    with pytest.raises(ValueError, match="one-dimensional"):
+        make_space([0.5, 0.5, 0.5, 0.5]).function(square)
+
+
+def test_equal_spaces_built_separately_bind_the_same_functions():
+    weights = [0.2, 0.3, 0.5]
+    space, twin = make_space(weights), make_space(np.array(weights))
+    assert space == twin and space is not twin
+    f = space.function([1.0, -2.0, 0.5])
+    assert lp_norm(f, 3.0, twin) == lp_norm(f, 3.0, space)
+    assert (natural_function([f], twin)(2.5)
+            == natural_function([f], space)(2.5))
+    gamma = SetFunction.from_density(f)
+    power = make_power_psi(2.0)
+    assert (setfunction_norm(gamma, power, twin)
+            == setfunction_norm(gamma, power, space))
+    other = make_space([0.2, 0.5, 0.3])
+    assert space != other
+    for call in (lambda: lp_norm(f, 3.0, other),
+                 lambda: natural_function([f], other),
+                 lambda: setfunction_norm(gamma, power, other)):
+        with pytest.raises(ValueError):
+            call()
+
+
+def test_atom_storage_memory():
+    n = 100_000
+    weights = np.random.default_rng(7).uniform(0.1, 1.0, n)
+    values = np.random.default_rng(8).standard_t(3, n)
+    tracemalloc.start()
+    try:
+        space = make_space(weights)
+        f = space.function(values)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert f.space is space
+    assert held < 4e6
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.floats(min_value=1e-3, max_value=1e3),
+                          st.floats(min_value=-1e6, max_value=1e6)),
+                min_size=1, max_size=12))
+def test_list_tuple_and_array_inputs_agree_bitwise(atoms):
+    weights, values = zip(*atoms)
+    ps = np.geomspace(1.0, 200.0, 17)
+    norms = [lp_norms(make_space(kind(weights)).function(kind(values)), ps)
+             for kind in (list, tuple, np.array)]
+    assert norms[0].tobytes() == norms[1].tobytes() == norms[2].tobytes()
+
+
 # ---------------------------------------------------------------------------
 # integration and norms
 # ---------------------------------------------------------------------------
@@ -140,6 +216,16 @@ def test_lp_norm_extreme_exponent_no_overflow():
     val = lp_norm(f, 150.0, s)
     assert math.isfinite(val)
     assert 1e3 <= val <= 2e3 + 1e-9
+
+
+def test_lp_norm_underflowing_ratio_is_silent():
+    s = make_space([0.5, 0.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for tiny in (1e-300, -1e-300):
+            f = s.function([1e300, tiny])
+            assert lp_norm(f, 2.0) == 1e300 * 0.5 ** 0.5
+            assert lp_norms(f, [2.0])[0] == 1e300 * 0.5 ** 0.5
 
 
 def test_lp_norms_vectorized_matches_scalar(rng):
@@ -223,7 +309,6 @@ def test_lp_norms_wide_scan_memory():
     s = probability_space(np.random.default_rng(7).uniform(0.1, 1.0, n))
     f = s.function(np.random.default_rng(8).standard_t(3, n))
     ps = np.geomspace(1.0, 200.0, 256)
-    f.value_array, s.weight_array  # cached before tracing
     tracemalloc.start()
     try:
         lp_norms(f, ps, s)

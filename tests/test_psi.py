@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from glsnum.bphi import psi_from_phi, quadratic_phi
+from glsnum.convex import h_of
 from glsnum.measure import probability_space
 from glsnum.psi import (SLOWLY_VARYING, AdjacentFunction, PsiFunction,
                         adjacent, conjugate_exponent, export_psi_csv,
@@ -105,13 +106,12 @@ def test_psi_function_validation():
 
 
 def test_effective_interval_capping():
-    psi = make_power_psi(2.0)
-    lo, hi, capped = psi.effective_interval(150.0)
-    assert (lo, hi) == (1.0, 150.0)
-    assert capped
-    lo2, hi2, capped2 = make_extremal_psi(4.0).effective_interval(150.0)
-    assert (lo2, hi2) == (1.0, 4.0)
-    assert not capped2
+    h = h_of(make_power_psi(2.0), cap=150.0)
+    assert (h.lo, h.hi) == (1.0, 150.0)
+    assert h.capped
+    h2 = h_of(make_extremal_psi(4.0), cap=150.0)
+    assert (h2.lo, h2.hi) == (1.0, 4.0)
+    assert not h2.capped
 
 
 def test_scan_grid_respects_open_endpoints():
