@@ -205,8 +205,7 @@ def _cmd_dual_oracle(args) -> int:
     g = _load_one_function(args.input)
     psi = psi_from_descriptor(args.psi)
     bound = associate_bound(g, psi, g.space, config.q_grid())
-    oracle = associate_norm_oracle(g, psi, g.space, config.q_grid(),
-                                   iterations=args.iterations)
+    oracle = associate_norm_oracle(g, psi, g.space, config.q_grid())
     report = {"command": "dual-oracle", "psi": psi.label,
               "oracle": oracle, "bound": bound.to_dict(),
               "gap": bound.value - oracle}
@@ -225,10 +224,9 @@ def _cmd_setnorm(args) -> int:
     if "weights" not in data or "gamma" not in data:
         raise ValueError("setnorm input needs 'weights' and 'gamma' fields")
     space = make_space(data["weights"])
-    gamma = SetFunction(space, tuple(float(v) for v in data["gamma"]))
+    gamma = SetFunction(space, data["gamma"])
     psi = psi_from_descriptor(args.psi)
-    value = setfunction_norm(gamma, psi, space, config.q_grid(),
-                             iterations=args.iterations)
+    value = setfunction_norm(gamma, psi, space, config.q_grid())
     _emit({"command": "setnorm", "psi": psi.label, "value": value,
            "total_mass": gamma.total}, args.out)
     return 0
@@ -393,7 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="associate-norm oracle with the bound bracket")
     p.add_argument("--input", required=True)
     p.add_argument("--psi", required=True)
-    p.add_argument("--iterations", type=int, default=60)
     p.add_argument("--representation", action="store_true",
                    help="also compute the induced set-function norm")
     _add_common(p)
@@ -404,7 +401,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True,
                    help='JSON {"weights": [...], "gamma": [...]}')
     p.add_argument("--psi", required=True)
-    p.add_argument("--iterations", type=int, default=60)
     _add_common(p)
     p.set_defaults(handler=_cmd_setnorm)
 

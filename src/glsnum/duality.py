@@ -38,11 +38,11 @@ import numpy as np
 from glsnum.convex import GrowthReport, growth_report_for_psi
 from glsnum.glnorm import DEFAULT_GRID, GlsNormResult, gls_norm
 from glsnum.measure import (DiscreteMeasureSpace, MeasurableFunction,
-                            _check_bound, lp_norm, lp_norms)
+                            _atom_array, _check_bound, lp_norm, lp_norms)
 from glsnum.orlicz import (YoungFunction, build_N, conjugate_young_function,
                            luxemburg_norm)
-from glsnum.psi import PsiFunction, adjacent, conjugate_exponent
-from glsnum.search import GridSpec, grid_refine_max, log_grid
+from glsnum.psi import PsiFunction, adjacent
+from glsnum.search import GridSpec, grid_refine_max
 
 __all__ = [
     "AssociateBoundResult",
@@ -81,24 +81,13 @@ class AssociateBoundResult:
 
 def associate_bound(g: MeasurableFunction, psi: PsiFunction,
                     space: DiscreteMeasureSpace | None = None,
-                    grid: GridSpec = GridSpec(points=256, cap=200.0),
-                    *, q_lo: float | None = None,
-                    q_hi: float | None = None) -> AssociateBoundResult:
+                    grid: GridSpec = GridSpec(points=256, cap=200.0)
+                    ) -> AssociateBoundResult:
     """Upper bound inf_q |g|_q / nu(q) on the associate norm of the
-    functional with density g.
-
-    q_lo / q_hi optionally restrict the scanned exponent window inside the
-    adjacent domain (used to compare against cruder sup-norm bounds).
-    """
+    functional with density g."""
     space = _check_bound(g, space)
     nu = adjacent(psi)
     qs, capped = nu.scan_grid(grid)
-    if q_lo is not None or q_hi is not None:
-        lo = qs[0] if q_lo is None else max(float(q_lo), qs[0])
-        hi = qs[-1] if q_hi is None else min(float(q_hi), qs[-1])
-        if not lo < hi:
-            raise ValueError(f"empty restricted q-window [{lo}, {hi}]")
-        qs = log_grid(lo, hi, grid.points)
     norms = lp_norms(g, qs, space)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         nu_vals = nu(qs)
@@ -114,7 +103,7 @@ def associate_bound(g: MeasurableFunction, psi: PsiFunction,
                                            rel_tol=grid.rel_tol,
                                            refine_in_log=True)
     value = -neg_scalar(q_star)
-    hit_cap = bool(capped and (q_hi is None) and q_star >= qs[-2])
+    hit_cap = bool(capped and q_star >= qs[-2])
     return AssociateBoundResult(value=float(value), arginf_q=float(q_star),
                                 hit_cap=hit_cap)
 
@@ -155,9 +144,9 @@ def _gls_subgradient(fv: np.ndarray, f: MeasurableFunction,
 
 
 def _hill_climb(fv: np.ndarray, t: np.ndarray, space: DiscreteMeasureSpace,
-                psi: PsiFunction, grid: GridSpec,
-                iterations: int) -> np.ndarray:
-    """Best iterate of a gradient ascent on ln (f . t) / ||f||_G from fv.
+                psi: PsiFunction, grid: GridSpec) -> np.ndarray:
+    """Best iterate of _ASCENT_ITERATIONS steps of a gradient ascent on
+    ln (f . t) / ||f||_G from fv.
 
     Each iterate is scored once: the current point carries the score its
     step computed.  Returns fv itself when no step improves on it.
@@ -166,7 +155,7 @@ def _hill_climb(fv: np.ndarray, t: np.ndarray, space: DiscreteMeasureSpace,
     best_val, best_f = cur_val, fv
     cur = fv
     eta = 0.5
-    for _ in range(iterations):
+    for _ in range(_ASCENT_ITERATIONS):
         if cur_num <= 0 or cur_res.value <= 0:
             break
         d = _gls_subgradient(cur, cur_f, psi, cur_res.argmax_p)
@@ -191,8 +180,7 @@ def _hill_climb(fv: np.ndarray, t: np.ndarray, space: DiscreteMeasureSpace,
 
 def _unit_ball_pairing_sup(t: np.ndarray, psi: PsiFunction,
                            space: DiscreteMeasureSpace,
-                           grid: GridSpec,
-                           iterations: int = _ASCENT_ITERATIONS) -> float:
+                           grid: GridSpec) -> float:
     """sup over f of (f . t) / ||f||_G, by seeded hill climbing.
 
     Seeds: the sign vector of t (tight at exponent 1), the density, and
@@ -210,7 +198,6 @@ def _unit_ball_pairing_sup(t: np.ndarray, psi: PsiFunction,
         raise ValueError(
             f"oracle budget exceeded: {space.n_atoms} atoms > "
             f"{ORACLE_ATOM_BUDGET}")
-    t = np.asarray(t, dtype=float)
     if not t.any():
         return 0.0
     t_max = math.ldexp(1.0, math.frexp(float(np.max(np.abs(t))))[1])
@@ -242,7 +229,7 @@ def _unit_ball_pairing_sup(t: np.ndarray, psi: PsiFunction,
     if best_val >= bound.value * (1.0 - grid.rel_tol):
         return float(best_val) * t_max  # no climb can gain rel_tol
     for _, idx in scored[:2]:
-        fv = _hill_climb(seeds[idx], t, space, psi, coarse, iterations)
+        fv = _hill_climb(seeds[idx], t, space, psi, coarse)
         if fv is seeds[idx]:
             continue  # its full-grid score is in `scored`, <= best_val
         rescored = _score(fv, t, space, psi, grid)[0]
@@ -253,8 +240,7 @@ def _unit_ball_pairing_sup(t: np.ndarray, psi: PsiFunction,
 
 def associate_norm_oracle(g: MeasurableFunction, psi: PsiFunction,
                           space: DiscreteMeasureSpace | None = None,
-                          grid: GridSpec = DEFAULT_GRID, *,
-                          iterations: int = _ASCENT_ITERATIONS) -> float:
+                          grid: GridSpec = DEFAULT_GRID) -> float:
     """Lower-bound oracle for the associate norm of the functional with
     density g: maximizes |integral f g dmu| over the grand unit ball.
 
@@ -267,29 +253,29 @@ def associate_norm_oracle(g: MeasurableFunction, psi: PsiFunction,
     """
     space = _check_bound(g, space)
     t = g.value_array * space.weight_array
-    return _unit_ball_pairing_sup(t, psi, space, grid, iterations)
+    return _unit_ball_pairing_sup(t, psi, space, grid)
 
 
 # ---------------------------------------------------------------------------
 # set functions on the finite algebra
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SetFunction:
     """Finitely additive set function on the full algebra of a finite space,
-    determined by its atom values (signed; no positivity assumed)."""
+    determined by its atom values (signed; no positivity assumed), held as
+    a read-only 1-d float64 array (a private copy)."""
 
     space: DiscreteMeasureSpace
-    atom_values: tuple
+    atom_values: np.ndarray
 
     def __post_init__(self) -> None:
-        values = tuple(float(v) for v in self.atom_values)
-        if len(values) != self.space.n_atoms:
+        values = _atom_array(self.atom_values, "atom values")
+        if values.size != self.space.n_atoms:
             raise ValueError(
-                f"{len(values)} atom values for {self.space.n_atoms} atoms")
-        for v in values:
-            if not math.isfinite(v):
-                raise ValueError("set-function atom values must be finite")
+                f"{values.size} atom values for {self.space.n_atoms} atoms")
+        if not np.isfinite(values).all():
+            raise ValueError("set-function atom values must be finite")
         object.__setattr__(self, "atom_values", values)
 
     @classmethod
@@ -297,7 +283,7 @@ class SetFunction:
                      space: DiscreteMeasureSpace | None = None
                      ) -> "SetFunction":
         space = _check_bound(g, space)
-        return cls(space, tuple(g.value_array * space.weight_array))
+        return cls(space, g.value_array * space.weight_array)
 
     def of(self, indices: Sequence[int]) -> float:
         """Value on the union of the given atoms (indices, no repeats)."""
@@ -353,8 +339,7 @@ def step_integral(phi: StepFunction, gamma: SetFunction) -> float:
 
 def setfunction_norm(gamma: SetFunction, psi: PsiFunction,
                      space: DiscreteMeasureSpace | None = None,
-                     grid: GridSpec = DEFAULT_GRID, *,
-                     iterations: int = _ASCENT_ITERATIONS) -> float:
+                     grid: GridSpec = DEFAULT_GRID) -> float:
     """Norm of a set function against the grand unit ball:
     sup { integral f dgamma : ||f||_G <= 1 }.
 
@@ -366,8 +351,7 @@ def setfunction_norm(gamma: SetFunction, psi: PsiFunction,
         space = gamma.space
     elif gamma.space != space:
         raise ValueError("set function is not defined on the given space")
-    t = np.asarray(gamma.atom_values, dtype=float)
-    return _unit_ball_pairing_sup(t, psi, space, grid, iterations)
+    return _unit_ball_pairing_sup(gamma.atom_values, psi, space, grid)
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,9 @@ substrate: an immutable space type, function values bound to it, integration,
 and p-norms.  A space holds its weights, and a function its values, once: as
 a private read-only 1-d float64 array, validated in one vectorized pass.  The
 p-norms are m (sum w (|f|/m)^p)^(1/p) with m = max|f|, from sorted log
-ratios, so no term overflows and none below the normal range reaches exp;
-exponent scans work on a small reused block of rows at a time.
+ratios, so no term overflows and none below the normal range reaches exp.
+Exponent scans, and the log-mgf of bphi, share one kernel (_exp_sums) that
+works on a small reused block of rows at a time.
 """
 from __future__ import annotations
 
@@ -36,7 +37,7 @@ __all__ = [
 
 PROBABILITY_TOL = 1e-12
 
-#: doubles in the block buffer of lp_norms and _outer_logsumexp
+#: doubles in the block buffer of _exp_sums
 _LSE_BLOCK = 2 ** 16
 
 #: exp(x) >= 2^-1022 for x >= _EXP_FLOOR; below it exp is far slower
@@ -243,10 +244,9 @@ def lp_norm(f: MeasurableFunction, p: float,
 
 def lp_norms(f: MeasurableFunction, ps,
              space: DiscreteMeasureSpace | None = None) -> np.ndarray:
-    """Vectorized p-norms: lp_norm's sums a block of exponents at a time in
-    one buffer of about _LSE_BLOCK doubles, the entries that one exponent
-    cuts and another keeps set to -inf before exp.  Agrees with lp_norm to
-    near machine precision, and exactly at p = inf (the ess sup)."""
+    """Vectorized p-norms: lp_norm's sums for every finite exponent from
+    one _exp_sums call.  Agrees with lp_norm to near machine precision, and
+    exactly at p = inf (the ess sup)."""
     _check_bound(f, space)
     ps = np.asarray(ps, dtype=float)
     if not np.all(ps >= 1.0):
@@ -257,55 +257,36 @@ def lp_norms(f: MeasurableFunction, ps,
         return out
     fin = ~np.isinf(ps)
     pf = ps[fin]
-    ends = lam.searchsorted(-_EXP_FLOOR / pf, side="right")
-    sums = np.empty(pf.size)
-    rows = max(1, _LSE_BLOCK // lam.size)
-    buf = np.empty(min(rows, pf.size) * lam.size)
-    for i in range(0, pf.size, rows):
-        hi = ends[i:i + rows]
-        mat = buf[:hi.size * hi.max()].reshape(hi.size, -1)
-        np.multiply.outer(-pf[i:i + rows], lam[:hi.max()], out=mat)
-        if hi.min() < hi.max():
-            mat[mat < _EXP_FLOOR] = -np.inf
-        np.dot(np.exp(mat, out=mat), w[:hi.max()], out=sums[i:i + hi.size])
-    out[fin] = top * sums ** (1.0 / pf)
+    out[fin] = top * _exp_sums(pf, lam, w) ** (1.0 / pf)
     return out
 
 
-def _outer_logsumexp(xs, a, b) -> np.ndarray:
-    """ln sum_j exp(xs_i * a_j + b_j) for every element xs_i of xs.
+def _exp_sums(s: np.ndarray, d: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_i w_i exp(-s_k d_i) for every element s_k of the 1-d array s.
 
-    Bit-identical to scipy.special.logsumexp(np.multiply.outer(xs, a) + b,
-    axis=-1), but only one buffer of about _LSE_BLOCK doubles holds rows at a
-    time.  Each row repeats scipy's real-input steps in the same order: the
-    row max, the count of entries equal to it, exp(row - max) with those
-    entries zeroed, the pairwise row sum divided by the count (scipy skips a
-    zero sum, which the division leaves zero), and log1p(sum) + log(count) +
-    max.  Zeroing the max entries after the exp, where scipy sets them to
-    -inf before it, turns a row with a NaN, a +inf or only -inf entries into
-    NaN, +inf or -inf: what scipy's fallback ln sum exp(row) returns for
-    it.  No other row can come out non-finite, so no fallback is needed.
+    The one kernel behind every weighted exponential sum over atoms: the
+    p-norms (s = p, d = -ln(|f_i| / max|f|)) and the log-mgf (s = |lambda|,
+    d = distance to the edge value).  Needs finite s_k >= 0 and ascending
+    d >= 0 (+inf allowed when every s_k > 0), so no term exceeds its weight.
+    Terms with -s_k d_i below _EXP_FLOOR (less than 2^-1022 of their
+    weight) are cut before exp.  A block of rows at a time is filled into
+    one buffer of about _LSE_BLOCK doubles, the entries that one row cuts
+    and another keeps set to -inf before exp.
     """
-    xs = np.asarray(xs, dtype=float)
-    flat = xs.ravel()
-    out = np.empty(flat.size)
-    rows = max(1, _LSE_BLOCK // a.size)
-    buf = np.empty((min(rows, flat.size), a.size))
-    with np.errstate(all="ignore"):
-        for start in range(0, flat.size, rows):
-            block = flat[start:start + rows]
-            mat = buf[:block.size]
-            np.multiply.outer(block, a, out=mat)
-            mat += b
-            top = mat.max(axis=1)
-            at_top = mat == top[:, None]
-            count = np.count_nonzero(at_top, axis=1)
-            mat -= top[:, None]
-            np.exp(mat, out=mat)
-            mat[at_top] = 0.0
-            out[start:start + block.size] = (
-                np.log1p(mat.sum(axis=1) / count) + np.log(count) + top)
-    return out.reshape(xs.shape)
+    with np.errstate(divide="ignore", over="ignore"):  # s ~ 0 cuts nothing
+        ends = d.searchsorted(-_EXP_FLOOR / s, side="right")
+    sums = np.empty(s.size)
+    rows = max(1, _LSE_BLOCK // d.size)
+    buf = np.empty(min(rows, s.size) * d.size)
+    for i in range(0, s.size, rows):
+        hi = ends[i:i + rows]
+        m = hi.max()
+        mat = buf[:hi.size * m].reshape(hi.size, m)
+        np.multiply.outer(-s[i:i + rows], d[:m], out=mat)
+        if hi.min() < m:
+            mat[mat < _EXP_FLOOR] = -np.inf
+        np.dot(np.exp(mat, out=mat), w[:m], out=sums[i:i + hi.size])
+    return sums
 
 
 # ---------------------------------------------------------------------------

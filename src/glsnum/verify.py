@@ -271,7 +271,7 @@ def _setfunction_representation(rng, n):
                     / (1.0 + max(abs(oracle), abs(setnorm))))
     space = _random_space(rng, max_atoms=8, min_atoms=4)
     gamma = SetFunction.from_density(_random_function(rng, space), space)
-    mu = gamma.atom_values
+    mu = gamma.atom_values.tolist()
     fixed_exact = step_integral(StepFunction((2.0, -0.5), ((0, 1), (2,))),
                                 gamma) == 2.0 * (mu[0] + mu[1]) - 0.5 * mu[2]
     perm = [int(i) for i in rng.permutation(space.n_atoms)]

@@ -1,8 +1,10 @@
 """Moment-generating-function norms: rate functions, sample constructors,
 the minimal-tau norm, and the companion generating function."""
 
+import decimal
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -184,6 +186,58 @@ def test_log_mgf_never_overflows():
     # log-domain accumulation stays exact
     assert log_mgf(rademacher(), 5000.0) == pytest.approx(
         5000.0 - math.log(2.0), rel=1e-12)
+
+
+_LMGF_CASES = {"rademacher": rademacher,
+               "two_point": lambda: two_point(1.7, 0.3),
+               "normal": lambda: discretized_normal(401, 8.0)}
+
+
+def _decimal_log_mgf(xi, lam):
+    # ln sum p_i exp(lam x_i) of the float data, to 60 digits
+    ctx = decimal.Context(prec=60)
+    total = sum((ctx.multiply(decimal.Decimal(p), ctx.exp(
+        ctx.multiply(decimal.Decimal(lam), decimal.Decimal(x))))
+        for x, p in zip(xi.values.tolist(), xi.probs.tolist())),
+        decimal.Decimal(0))
+    return ctx.ln(total)
+
+
+@pytest.mark.parametrize("name", sorted(_LMGF_CASES))
+def test_log_mgf_accuracy_against_decimal_reference(name):
+    # the error is absolute, a few ulps of 1 + |lambda| max|x|: at
+    # |lambda| = 1e-4 the log-mgf is about 5e-9, so only its relative
+    # error grows there
+    xi = _LMGF_CASES[name]()
+    mags = np.geomspace(1e-4, 50.0, 13)
+    lams = np.concatenate([-mags[::-1], mags])
+    got = log_mgf(xi, lams)
+    top = float(np.max(np.abs(xi.values)))
+    for lam, value in zip(lams.tolist(), got.tolist()):
+        err = abs(float(decimal.Decimal(value) - _decimal_log_mgf(xi, lam)))
+        assert err <= 8 * np.finfo(float).eps * (1.0 + abs(lam) * top), lam
+
+
+def test_log_mgf_non_finite_lambda_and_shapes():
+    zero = RandomVariableSample(probability_space([0.5, 0.5]).function(
+        [0.0, 0.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for xi in (rademacher(), two_point(1.7, 0.3)):
+            assert log_mgf(xi, math.inf) == log_mgf(xi, -math.inf) == math.inf
+            assert math.isnan(log_mgf(xi, math.nan))
+            assert log_mgf(xi, 0.0) == pytest.approx(0.0, abs=1e-15)
+        for lam in (math.inf, -math.inf, math.nan):
+            assert math.isnan(log_mgf(zero, lam))
+        assert log_mgf(zero, 0.0) == 0.0
+        assert type(log_mgf(rademacher(), np.float64(0.5))) is float
+        assert type(log_mgf(rademacher(), np.array(0.5))) is float
+        grid = np.array([[0.0, math.inf], [math.nan, -2.0]])
+        out = log_mgf(rademacher(), grid)
+    assert out.shape == (2, 2)
+    assert out[0, 1] == math.inf and math.isnan(out[1, 0])
+    assert out[1, 1] == pytest.approx(math.log(math.cosh(2.0)), rel=1e-15)
+    assert log_mgf(rademacher(), np.empty((0, 3))).shape == (0, 3)
 
 
 def test_mgf_values_and_overflow():
