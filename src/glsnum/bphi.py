@@ -55,6 +55,9 @@ FEASIBILITY_SLACK = 1e-12
 
 TAU_MAX = 1e6
 
+#: relative tolerance of the phi inversions behind psi_from_phi
+_INVERSE_TOL = 1e-12
+
 
 @dataclass(frozen=True, eq=False)
 class PhiFunction:
@@ -299,20 +302,19 @@ def bphi_norm(xi: RandomVariableSample, phi: PhiFunction, *,
         return 0.0
 
 
-def psi_from_phi(phi: PhiFunction, *, normalize: bool = True,
-                 p_max: float = 200.0, grid_points: int = 512,
-                 inverse_tol: float = 1e-12) -> PsiFunction:
+def psi_from_phi(phi: PhiFunction, *, normalize: bool = True
+                 ) -> PsiFunction:
     """Companion generating function psi(p) = p / phi^(-1)(p).
 
     The support is [1, b) with b the supremum of phi over its interval
     (exponents beyond the range of phi are outside the support); with
-    normalize the function is rescaled to infimum 1 over [1, p_max].  An
-    evaluation at several points inverts phi at all of them in one batched
-    bracket-and-bisect pass that gives every point exactly the scalar
-    increasing_inverse(phi, p, rel_tol=inverse_tol); an evaluation at one
-    point (a scalar psi call, and each step of the normalization polish)
-    runs that scalar inversion, about 44 scalar phi calls, each a Python
-    float with no masked array.
+    normalize the function is rescaled to infimum 1 over [1, 200], scanned
+    on 512 log-spaced points.  An evaluation at several points inverts phi
+    at all of them in one batched bracket-and-bisect pass that gives every
+    point exactly the scalar increasing_inverse(phi, p,
+    rel_tol=_INVERSE_TOL); an evaluation at one point (a scalar psi call,
+    and each step of the normalization polish) runs that scalar inversion,
+    about 44 scalar phi calls, each a Python float with no masked array.
     """
     sup_phi = phi.sup_value
     if sup_phi <= 1.0:
@@ -325,20 +327,20 @@ def psi_from_phi(phi: PhiFunction, *, normalize: bool = True,
         flat = np.atleast_1d(np.asarray(p, dtype=float))
         if flat.size == 1:  # one point: the scalar loop has less overhead
             inv = increasing_inverse(phi, float(flat[0]), x_hi=lam_hi,
-                                     rel_tol=inverse_tol)
+                                     rel_tol=_INVERSE_TOL)
         else:
             # support points p >= 1 lie above phi(0) = 0, where
             # increasing_inverse is min_feasible(side="hi") from lambda = 1
             inv = min_feasible_batch(
                 lambda rows, lam: phi(lam) >= flat[rows], flat.size,
-                rel_tol=inverse_tol, x_max=lam_hi)
+                rel_tol=_INVERSE_TOL, x_max=lam_hi)
         out = flat / inv
         return out if np.ndim(p) else out[0]
 
     scale = 1.0
     if normalize:
-        hi = min(sup_phi * (1 - 1e-9), p_max)
-        scale = _normalizing_infimum(raw, log_grid(1.0, hi, grid_points))
+        hi = min(sup_phi * (1 - 1e-9), 200.0)
+        scale = _normalizing_infimum(raw, log_grid(1.0, hi, 512))
     return PsiFunction(
         a=1.0, b=sup_phi, include_a=True, include_b=False,
         interior=lambda p: raw(p) / scale,

@@ -17,6 +17,9 @@ Input formats
   ``{"family": "power", "params": {"m": 3}}``.
 * set functions: JSON ``{"weights": [...], "gamma": [...]}`` with gamma the
   atom values of the set function.
+
+Every computation runs with the library's own defaults (grids, caps and
+tolerances), so a subcommand prints the value of the matching library call.
 """
 from __future__ import annotations
 
@@ -24,7 +27,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -38,47 +40,14 @@ from glsnum.duality import (SetFunction, associate_bound,
 from glsnum.glnorm import family_unit_norm_check, gls_norm
 from glsnum.measure import (MeasurableFunction, _read_json, lp_norm, load_csv,
                             load_json, make_space, parse_space_dict)
-from glsnum.orlicz import (build_N, conjugate_young_point, luxemburg_norm,
-                           power_young, validate_young)
+from glsnum.orlicz import (DEFAULT_U_MAX, build_N, conjugate_young_point,
+                           luxemburg_norm, power_young, validate_young)
 from glsnum.psi import adjacent, export_psi_csv, natural_function, \
     psi_from_descriptor
-from glsnum.search import BracketError, GridSpec
+from glsnum.search import BracketError
 from glsnum.verify import run_verification_suite
 
-__all__ = ["main", "RunConfig"]
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated numerical knobs shared by the subcommands."""
-
-    grid_points: int = 256
-    p_max: float = 200.0
-    q_max: float = 200.0
-    tol: float = 1e-10
-
-    def __post_init__(self) -> None:
-        if not 16 <= self.grid_points <= 65536:
-            raise ValueError(
-                f"--grid-points must lie in [16, 65536], got {self.grid_points}")
-        for name, cap in (("--p-max", self.p_max), ("--q-max", self.q_max)):
-            if not 10.0 <= cap <= 1e4:
-                raise ValueError(f"{name} must lie in [10, 1e4], got {cap}")
-        if not 1e-14 <= self.tol <= 1e-2:
-            raise ValueError(f"--tol must lie in [1e-14, 1e-2], got {self.tol}")
-
-    def p_grid(self) -> GridSpec:
-        return GridSpec(points=self.grid_points, cap=self.p_max,
-                        rel_tol=self.tol)
-
-    def q_grid(self) -> GridSpec:
-        return GridSpec(points=self.grid_points, cap=self.q_max,
-                        rel_tol=self.tol)
-
-
-def _config_from(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(grid_points=args.grid_points, p_max=args.p_max,
-                     q_max=args.q_max, tol=args.tol)
+__all__ = ["main"]
 
 
 def _jsonable(obj):
@@ -129,7 +98,7 @@ def _load_one_function(source: str) -> MeasurableFunction:
     return fs[0]
 
 
-def _young_from(args: argparse.Namespace, grid: GridSpec):
+def _young_from(args: argparse.Namespace):
     if getattr(args, "power", None) is not None:
         if args.psi is not None:
             raise ValueError("give either --psi or --power, not both")
@@ -137,7 +106,7 @@ def _young_from(args: argparse.Namespace, grid: GridSpec):
     if args.psi is None:
         raise ValueError("one of --psi or --power is required")
     psi = psi_from_descriptor(args.psi)
-    return build_N(psi, u_max=args.u_max, grid=grid)
+    return build_N(psi)
 
 
 # ---------------------------------------------------------------------------
@@ -146,12 +115,11 @@ def _young_from(args: argparse.Namespace, grid: GridSpec):
 
 
 def _cmd_gnorm(args) -> int:
-    config = _config_from(args)
     f = _load_one_function(args.input)
     psi = psi_from_descriptor(args.psi)
-    res = gls_norm(f, psi, f.space, config.p_grid())
+    res = gls_norm(f, psi)
     _emit({"command": "gnorm", "psi": psi.label, "n_atoms": f.space.n_atoms,
-           "result": res.to_dict(), "config": vars(config) | {}}, args.out)
+           "result": res.to_dict()}, args.out)
     return 0
 
 
@@ -164,12 +132,11 @@ def _cmd_lp(args) -> int:
 
 
 def _cmd_natural(args) -> int:
-    config = _config_from(args)
     space, family = _load_functions(args.input)
     if not family:
         raise ValueError("the input contains no functions")
     psi = natural_function(family, space)
-    report = family_unit_norm_check(family, space, grid=config.p_grid())
+    report = family_unit_norm_check(family, space)
     if args.csv:
         export_psi_csv(psi, args.csv)
     _emit({"command": "natural", "n_members": len(family),
@@ -191,64 +158,61 @@ def _cmd_adjacent(args) -> int:
 
 
 def _cmd_dual_bound(args) -> int:
-    config = _config_from(args)
     g = _load_one_function(args.input)
     psi = psi_from_descriptor(args.psi)
-    res = associate_bound(g, psi, g.space, config.q_grid())
+    res = associate_bound(g, psi)
     _emit({"command": "dual-bound", "psi": psi.label,
            "result": res.to_dict()}, args.out)
     return 0
 
 
 def _cmd_dual_oracle(args) -> int:
-    config = _config_from(args)
     g = _load_one_function(args.input)
     psi = psi_from_descriptor(args.psi)
-    bound = associate_bound(g, psi, g.space, config.q_grid())
-    oracle = associate_norm_oracle(g, psi, g.space, config.q_grid())
+    bound = associate_bound(g, psi)
     report = {"command": "dual-oracle", "psi": psi.label,
-              "oracle": oracle, "bound": bound.to_dict(),
-              "gap": bound.value - oracle}
+              "bound": bound.to_dict()}
     if args.representation:
-        rep = verify_representation(g, psi, g.space, config.q_grid(),
-                                    check_growth=False)
+        # the representation check runs the oracle itself
+        rep = verify_representation(g, psi, check_growth=False)
+        oracle = rep.oracle
         report["setnorm"] = rep.setnorm
         report["representation_difference"] = rep.difference
-    _emit(report, args.out)
+    else:
+        oracle = associate_norm_oracle(g, psi)
+    _emit(report | {"oracle": oracle, "gap": bound.value - oracle}, args.out)
     return 0
 
 
 def _cmd_setnorm(args) -> int:
-    config = _config_from(args)
     data = _read_json(args.input)
     if "weights" not in data or "gamma" not in data:
         raise ValueError("setnorm input needs 'weights' and 'gamma' fields")
     space = make_space(data["weights"])
     gamma = SetFunction(space, data["gamma"])
     psi = psi_from_descriptor(args.psi)
-    value = setfunction_norm(gamma, psi, space, config.q_grid())
+    value = setfunction_norm(gamma, psi)
     _emit({"command": "setnorm", "psi": psi.label, "value": value,
            "total_mass": gamma.total}, args.out)
     return 0
 
 
 def _cmd_legendre(args) -> int:
-    config = _config_from(args)
     psi = psi_from_descriptor(args.psi)
-    h = h_of(psi, cap=config.p_max)
+    h = h_of(psi)
     report = {"command": "legendre", "psi": psi.label,
               "domain": [h.lo, h.hi], "capped": h.capped}
     if args.v:
         rows = []
         for v in args.v:
-            pt = young_fenchel_point(h, float(v), config.p_grid())
+            pt = young_fenchel_point(h, float(v))
             rows.append({"v": float(v), "value": pt.value,
                          "argmax_p": pt.argmax_z, "hit_cap": pt.hit_cap})
         report["conjugate"] = rows
     if args.u:
         report["exponent"] = [
             {"u": float(u),
-             "V": exponent_V(psi, float(u), h=h, grid=config.p_grid())}
+             "V": exponent_V(psi, float(u), h=h)}
             for u in args.u]
     if not args.v and not args.u:
         raise ValueError("give at least one --v or --u to evaluate")
@@ -257,12 +221,11 @@ def _cmd_legendre(args) -> int:
 
 
 def _cmd_orlicz_build(args) -> int:
-    config = _config_from(args)
     psi = psi_from_descriptor(args.psi)
-    N = build_N(psi, u_max=args.u_max, grid=config.p_grid())
-    checks = validate_young(N, u_max=min(50.0, args.u_max))
+    N = build_N(psi)
+    checks = validate_young(N)
     if args.csv:
-        us = np.geomspace(1e-3, args.u_max, 512)
+        us = np.geomspace(1e-3, DEFAULT_U_MAX, 512)
         with Path(args.csv).open("w") as fh:
             fh.write("u,N\n")
             for u, val in zip(us, N(us)):
@@ -275,22 +238,19 @@ def _cmd_orlicz_build(args) -> int:
 
 
 def _cmd_orlicz_norm(args) -> int:
-    config = _config_from(args)
     f = _load_one_function(args.input)
-    N = _young_from(args, config.p_grid())
-    value = luxemburg_norm(f, N, f.space, rel_tol=config.tol)
+    N = _young_from(args)
+    value = luxemburg_norm(f, N)
     _emit({"command": "orlicz-norm", "young": N.label, "value": value},
           args.out)
     return 0
 
 
 def _cmd_conjugate_young(args) -> int:
-    config = _config_from(args)
-    N = _young_from(args, config.p_grid())
+    N = _young_from(args)
     rows = []
     for y in args.y:
-        pt = conjugate_young_point(N, float(y), u_max=args.u_max,
-                                   grid=config.p_grid())
+        pt = conjugate_young_point(N, float(y))
         rows.append({"y": float(y), "value": pt.value,
                      "argmax_u": pt.argmax_z, "hit_cap": pt.hit_cap})
     _emit({"command": "conjugate-young", "young": N.label, "values": rows},
@@ -299,7 +259,6 @@ def _cmd_conjugate_young(args) -> int:
 
 
 def _cmd_bphi_norm(args) -> int:
-    config = _config_from(args)
     space, fs = _load_functions(args.input)
     if len(fs) != 1:
         raise ValueError("bphi-norm expects exactly one value row")
@@ -311,12 +270,15 @@ def _cmd_bphi_norm(args) -> int:
         values = values - float(np.dot(values, space.weight_array))
     xi = RandomVariableSample(space.function(values))
     phi = phi_from_descriptor(args.phi)
-    report = {"command": "bphi-norm", "phi": phi.label,
-              "value": bphi_norm(xi, phi)}
+    report = {"command": "bphi-norm", "phi": phi.label}
     if args.membership:
+        # the membership report carries the mgf-ball norm it computed
         psi = psi_from_phi(phi)
-        mem = membership_check(xi, phi, psi=psi, grid=config.p_grid())
+        mem = membership_check(xi, phi, psi=psi)
         report["membership"] = mem.to_dict() | {"psi": psi.label}
+        report["value"] = mem.bphi
+    else:
+        report["value"] = bphi_norm(xi, phi)
     _emit(report, args.out)
     return 0
 
@@ -333,14 +295,6 @@ def _cmd_verify(args) -> int:
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--grid-points", type=int, default=256,
-                   help="scan grid resolution (default 256)")
-    p.add_argument("--p-max", type=float, default=200.0,
-                   help="computational cap for unbounded exponent supports")
-    p.add_argument("--q-max", type=float, default=200.0,
-                   help="cap for conjugate-exponent scans")
-    p.add_argument("--tol", type=float, default=1e-10,
-                   help="relative refinement tolerance")
     p.add_argument("--out", default=None, metavar="PATH",
                    help="also write the JSON report to PATH")
 
@@ -362,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lp", help="classical p-norm")
     p.add_argument("--input", required=True)
     p.add_argument("--p", required=True, help="exponent (>= 1, or 'inf')")
-    p.add_argument("--out", default=None)
+    _add_common(p)
     p.set_defaults(handler=_cmd_lp)
 
     p = sub.add_parser("natural",
@@ -377,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--psi", required=True)
     p.add_argument("--q", action="append", required=True,
                    help="conjugate exponent to evaluate at (repeatable)")
-    p.add_argument("--out", default=None)
+    _add_common(p)
     p.set_defaults(handler=_cmd_adjacent)
 
     p = sub.add_parser("dual-bound",
@@ -420,7 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="build and validate the exponential Young "
                             "function of psi")
     p.add_argument("--psi", required=True)
-    p.add_argument("--u-max", type=float, default=200.0)
     p.add_argument("--csv", default=None, help="export a u,N table here")
     _add_common(p)
     p.set_defaults(handler=_cmd_orlicz_build)
@@ -431,7 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="build the exponential Young function of this psi")
     p.add_argument("--power", type=float, default=None,
                    help="use N(u) = |u|^p instead of --psi")
-    p.add_argument("--u-max", type=float, default=200.0)
     _add_common(p)
     p.set_defaults(handler=_cmd_orlicz_norm)
 
@@ -441,7 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--power", type=float, default=None)
     p.add_argument("--y", action="append", type=float, required=True,
                    help="argument to evaluate N* at (repeatable)")
-    p.add_argument("--u-max", type=float, default=200.0)
     _add_common(p)
     p.set_defaults(handler=_cmd_conjugate_young)
 
@@ -462,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify",
                        help="run the seeded self-verification battery")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
+    _add_common(p)
     p.set_defaults(handler=_cmd_verify)
 
     return parser

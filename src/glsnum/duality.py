@@ -81,8 +81,7 @@ class AssociateBoundResult:
 
 def associate_bound(g: MeasurableFunction, psi: PsiFunction,
                     space: DiscreteMeasureSpace | None = None,
-                    grid: GridSpec = GridSpec(points=256, cap=200.0)
-                    ) -> AssociateBoundResult:
+                    grid: GridSpec = DEFAULT_GRID) -> AssociateBoundResult:
     """Upper bound inf_q |g|_q / nu(q) on the associate norm of the
     functional with density g."""
     space = _check_bound(g, space)
@@ -377,21 +376,21 @@ def verify_representation(g: MeasurableFunction, psi: PsiFunction,
                           space: DiscreteMeasureSpace | None = None,
                           grid: GridSpec = DEFAULT_GRID, *,
                           tol: float = 1e-5,
-                          growth_K: float = 2.0,
                           growth_alpha: float | None = None,
                           check_growth: bool = True) -> RepresentationReport:
     """Check that the functional norm of the density equals the norm of the
     set function gamma(A) = integral over A of g dmu.
 
     The growth condition on the exponent function (the hypothesis under which
-    the representation is asserted) is checked alongside and reported; pass
-    growth_alpha explicitly for families other than powers of p.
+    the representation is asserted) is checked alongside with K = 2 and
+    reported; pass growth_alpha explicitly for families other than powers
+    of p.
     """
     space = _check_bound(g, space)
     growth = None
     if check_growth:
         alpha = 0.75 if growth_alpha is None else float(growth_alpha)
-        growth = growth_report_for_psi(psi, growth_K, alpha)
+        growth = growth_report_for_psi(psi, 2.0, alpha)
     oracle = associate_norm_oracle(g, psi, space, grid)
     gamma = SetFunction.from_density(g, space)
     setnorm = setfunction_norm(gamma, psi, space, grid)

@@ -5,7 +5,8 @@ support (infinite right endpoints are capped, with a flag when the maximizer
 lands against the cap) followed by a golden-section polish of the best grid
 cell.  Included endpoints are grid nodes, so norms that are attained at an
 endpoint (for instance under the constant-one family on [1, r], where the
-grand norm is exactly the r-norm) come out exact.
+grand norm is max(|f|_1, |f|_r), exactly the r-norm when the total mass is
+at most 1) come out exact.
 """
 from __future__ import annotations
 
@@ -97,7 +98,6 @@ class FamilyUnitNormReport:
 
 def family_unit_norm_check(family: Sequence[MeasurableFunction],
                            space: DiscreteMeasureSpace | None = None, *,
-                           p_grid=None,
                            grid: GridSpec = DEFAULT_GRID
                            ) -> FamilyUnitNormReport:
     """Build the natural generating function of the family and report each
@@ -108,7 +108,7 @@ def family_unit_norm_check(family: Sequence[MeasurableFunction],
         raise ValueError("the family is empty")
     if space is None:
         space = family[0].space
-    psi = natural_function(family, space, p_grid=p_grid)
+    psi = natural_function(family, space)
     norms = tuple(gls_norm(f, psi, space, grid).value for f in family)
     sup_norm = max(norms)
     return FamilyUnitNormReport(sup_norm=sup_norm,

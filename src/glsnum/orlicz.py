@@ -53,8 +53,13 @@ __all__ = [
 #: exponents above this overflow exp(); evaluations saturate to +inf instead
 _EXP_OVERFLOW = 709.0
 
+#: cap of every u-scan: the exponent table of build_N and the conjugate
+#: scans all end here, so conjugate points and table nodes agree
 DEFAULT_U_MAX = 200.0
 DEFAULT_TABLE_POINTS = 2048
+
+#: log-spaced y-range of the conjugate tables
+_CONJ_Y_MIN, _CONJ_Y_MAX = 1e-8, 1e6
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,17 +97,16 @@ def power_young(p: float, coeff: float = 1.0) -> YoungFunction:
                          eval_abs=lambda u: coeff * u ** p)
 
 
-def build_N(psi: PsiFunction, *, u_max: float = DEFAULT_U_MAX,
-            table_points: int = DEFAULT_TABLE_POINTS,
+def build_N(psi: PsiFunction, *, table_points: int = DEFAULT_TABLE_POINTS,
             grid: GridSpec = CONJUGATE_GRID) -> YoungFunction:
     """Exponential Young function of a generating function.
 
-    Tabulates the exponent V on ln u in [1, ln u_max] (so u = e is always a
+    Tabulates the exponent V on ln u in [1, ln DEFAULT_U_MAX] (so u = e is a
     node), fixes the quadratic constant by continuity at e, and interpolates
     the exponent linearly between nodes, extending linearly beyond the table.
     """
     h = h_of(psi, cap=grid.cap)
-    vs = np.linspace(1.0, math.log(u_max), table_points)
+    vs = np.linspace(1.0, math.log(DEFAULT_U_MAX), table_points)
     v_table, _, flags = young_fenchel_table(h, vs, grid)
     if not np.all(np.isfinite(v_table)):
         raise ValueError(f"non-finite exponent values for {psi.label}")
@@ -110,7 +114,7 @@ def build_N(psi: PsiFunction, *, u_max: float = DEFAULT_U_MAX,
     if flags.any():
         trusted = float(math.exp(vs[int(np.argmax(flags))]))
     else:
-        trusted = float(u_max)
+        trusted = DEFAULT_U_MAX
     end_slope = (v_table[-1] - v_table[-2]) / (vs[-1] - vs[-2])
 
     def eval_abs(u: np.ndarray) -> np.ndarray:
@@ -140,13 +144,12 @@ def _young_integral(absvals: np.ndarray, w: np.ndarray, N: YoungFunction,
 
 
 def luxemburg_norm(f: MeasurableFunction, N: YoungFunction,
-                   space: DiscreteMeasureSpace | None = None, *,
-                   rel_tol: float = 1e-10) -> float:
+                   space: DiscreteMeasureSpace | None = None) -> float:
     """Luxemburg norm: the smallest k > 0 with integral N(f/k) dmu <= 1.
 
     Brackets k by doubling/halving from the essential supremum of f, then
-    bisects; at the returned k the integral sits within a few parts in 1e10
-    of 1 for any continuous strictly increasing N.
+    bisects to relative tolerance 1e-10; at the returned k the integral sits
+    within a few parts in 1e10 of 1 for any continuous strictly increasing N.
     """
     space = _check_bound(f, space)
     absvals = np.abs(f.value_array)
@@ -159,7 +162,7 @@ def luxemburg_norm(f: MeasurableFunction, N: YoungFunction,
         return _young_integral(absvals, w, N, k) <= 1.0
 
     try:
-        return min_feasible(feasible, k0, rel_tol=rel_tol,
+        return min_feasible(feasible, k0, rel_tol=1e-10,
                             x_min=k0 * 1e-14, x_max=k0 * 1e14, side="mid")
     except NoInfeasiblePoint:
         raise ValueError(
@@ -172,13 +175,12 @@ def luxemburg_norm(f: MeasurableFunction, N: YoungFunction,
 
 
 def conjugate_young_point(N: YoungFunction, v: float, *,
-                          u_max: float = DEFAULT_U_MAX,
                           grid: GridSpec = CONJUGATE_GRID) -> ConjugatePoint:
     """N*(v) = sup_{u >= 0} (|v| u - N(u)) floored at 0: young_fenchel_point
-    of N on [0, u_max], the cap standing in for u = inf.  A u where N is not
-    finite (inf or NaN) scores -inf, so each node of conjugate_young_function
-    carries this value bit for bit."""
-    on_scan = RealFunction1D(0.0, u_max, N.eval_abs, capped=True,
+    of N on [0, DEFAULT_U_MAX], the cap standing in for u = inf.  A u where N
+    is not finite (inf or NaN) scores -inf, so each node of
+    conjugate_young_function carries this value bit for bit."""
+    on_scan = RealFunction1D(0.0, DEFAULT_U_MAX, N.eval_abs, capped=True,
                              label=N.label)
     pt = young_fenchel_point(on_scan, abs(float(v)), grid)
     return ConjugatePoint(value=max(pt.value, 0.0), argmax_z=pt.argmax_z,
@@ -186,28 +188,25 @@ def conjugate_young_point(N: YoungFunction, v: float, *,
 
 
 def conjugate_young(N: YoungFunction, v: float, *,
-                    u_max: float = DEFAULT_U_MAX,
                     grid: GridSpec = CONJUGATE_GRID) -> float:
-    return conjugate_young_point(N, v, u_max=u_max, grid=grid).value
+    return conjugate_young_point(N, v, grid=grid).value
 
 
 def conjugate_young_function(N: YoungFunction, *,
-                             u_max: float = DEFAULT_U_MAX,
-                             y_min: float = 1e-8, y_max: float = 1e6,
                              table_points: int = DEFAULT_TABLE_POINTS,
                              grid: GridSpec = CONJUGATE_GRID) -> YoungFunction:
     """Tabulated conjugate Young function, piecewise linear in y.
 
-    The nodes (0 and a log-spaced grid up to y_max) carry exact conjugate
+    The nodes (0 and a log-spaced grid from 1e-8 to 1e6) carry exact conjugate
     values; the true conjugate is convex in y, so the chords between nodes
     never undershoot it.  That keeps Hoelder right-hand sides built from this
-    table on the safe side of the inequality.  Beyond y_max the last chord
+    table on the safe side of the inequality.  Beyond 1e6 the last chord
     extends linearly, which for a convex function is a certified lower bound
     only; trusted_up_to records where certification ends.
     """
-    ys = np.geomspace(y_min, y_max, table_points)
+    ys = np.geomspace(_CONJ_Y_MIN, _CONJ_Y_MAX, table_points)
     # the interval conjugate_young_point scans: each node carries its value
-    on_scan = RealFunction1D(0.0, u_max, N.eval_abs, capped=True,
+    on_scan = RealFunction1D(0.0, DEFAULT_U_MAX, N.eval_abs, capped=True,
                              label=N.label)
     values, _, hit_cap = young_fenchel_table(on_scan, ys, grid)
     values = np.where(0.0 > values, 0.0, values)  # as max(value, 0.0)
@@ -229,7 +228,7 @@ def conjugate_young_function(N: YoungFunction, *,
 
     return YoungFunction(label=f"conj[{N.label}]", eval_abs=eval_abs,
                          branch_point=0.0,
-                         trusted_up_to=min(first_hit, float(y_max)))
+                         trusted_up_to=min(first_hit, _CONJ_Y_MAX))
 
 
 # ---------------------------------------------------------------------------
@@ -342,12 +341,11 @@ def batch_embedding_check(fs: Sequence[MeasurableFunction],
                                 spread=c_high / c_low, ratios=ratios)
 
 
-def validate_young(N: YoungFunction, *, u_max: float = 50.0,
-                   points: int = 512) -> dict:
+def validate_young(N: YoungFunction) -> dict:
     """Structural checks for a Young function: vanishing at 0, evenness,
-    monotonicity and midpoint convexity on a grid, and continuity across the
-    branch point.  Returns a plain dict report."""
-    us = np.linspace(0.0, u_max, points)
+    monotonicity and midpoint convexity on 512 points of [0, 50], and
+    continuity across the branch point.  Returns a plain dict report."""
+    us = np.linspace(0.0, 50.0, 512)
     vals = N(us)
     even_dev = float(np.max(np.abs(N(-us) - vals)))
     mono_ok = bool(np.all(np.diff(vals) >= -1e-12 * np.maximum(vals[1:], 1)))

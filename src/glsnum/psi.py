@@ -151,8 +151,8 @@ def adjacent(psi: PsiFunction) -> AdjacentFunction:
     )
 
 
-def _check_normalized(psi: PsiFunction, *, points: int = 512) -> PsiFunction:
-    vals = psi(psi.scan_grid(GridSpec(points=points, cap=200.0))[0])
+def _check_normalized(psi: PsiFunction) -> PsiFunction:
+    vals = psi(psi.scan_grid(GridSpec(points=512, cap=200.0))[0])
     if not np.all(np.isfinite(vals)):
         raise ValueError(f"{psi.label}: non-finite values on the support")
     if float(np.min(vals)) < 1.0 - _NORMALIZATION_TOL:
@@ -176,8 +176,9 @@ def _normalizing_infimum(raw: Callable, probes: np.ndarray) -> float:
 
 
 def make_extremal_psi(r: float) -> PsiFunction:
-    """Constant-one generating function on [1, r]; its grand norm is the
-    plain r-norm.  Needs r > 1 (r = 1 would collapse the support)."""
+    """Constant-one generating function on [1, r]; its grand norm is
+    max(|f|_1, |f|_r), the plain r-norm when the total mass is at most 1.
+    Needs r > 1 (r = 1 would collapse the support)."""
     r = float(r)
     if not (r > 1.0 and math.isfinite(r)):
         raise ValueError(f"extremal family needs finite r > 1, got {r}")
@@ -199,23 +200,22 @@ def make_power_psi(m: float) -> PsiFunction:
 
 
 def make_sv_psi(m: float, L: Callable[[np.ndarray], np.ndarray], *,
-                label: str = "sv", p_max: float = 200.0,
-                grid_points: int = 512) -> PsiFunction:
+                label: str = "sv") -> PsiFunction:
     """psi(p) = p^(1/m) L(p) / c on [1, inf) with a slowly varying positive L.
 
-    The constant c is the infimum of the raw product over [1, p_max], found
-    by a log-grid scan with golden-section polish, so the result is
-    normalized to infimum 1 (within scan accuracy).
+    The constant c is the infimum of the raw product over [1, 200], found
+    by a 512-point log-grid scan with golden-section polish, so the result
+    is normalized to infimum 1 (within scan accuracy).
     """
     m = float(m)
     if not (m > 0 and math.isfinite(m)):
         raise ValueError(f"needs finite m > 0, got {m}")
     raw = lambda p: p ** (1.0 / m) * L(p)
-    probes = log_grid(1.0, p_max, grid_points)
+    probes = log_grid(1.0, 200.0, 512)
     lvals = np.asarray(L(probes), dtype=float)
     if np.any(~np.isfinite(lvals)) or np.any(lvals <= 0):
         raise ValueError("the slowly varying factor must be positive and "
-                         "finite on [1, p_max]")
+                         "finite on [1, 200]")
     c = _normalizing_infimum(raw, probes)
     return _check_normalized(PsiFunction(
         a=1.0, b=math.inf, include_a=True, include_b=False,
@@ -269,14 +269,13 @@ def make_table_psi(p_nodes, values, *, label: str = "table") -> PsiFunction:
 
 
 def natural_function(family: Sequence[MeasurableFunction],
-                     space: DiscreteMeasureSpace | None = None,
-                     p_grid=None) -> PsiFunction:
+                     space: DiscreteMeasureSpace | None = None
+                     ) -> PsiFunction:
     """Natural generating function of a finite family: sup of member p-norms.
 
-    Tabulates sup_z |f_z|_p on a log-spaced exponent grid (default 4096
-    points on [1, 200]) and interpolates log-log between nodes.  The family
-    must be non-empty with at least one nonzero member, all bound to the
-    same space.
+    Tabulates sup_z |f_z|_p on 4096 log-spaced exponents in [1, 200] and
+    interpolates log-log between nodes.  The family must be non-empty with
+    at least one nonzero member, all bound to the same space.
     """
     family = list(family)
     if not family:
@@ -286,11 +285,7 @@ def natural_function(family: Sequence[MeasurableFunction],
     for f in family:
         if f.space != space:
             raise ValueError("family members live on different spaces")
-    if p_grid is None:
-        p_grid = log_grid(1.0, 200.0, 4096)
-    p_grid = np.asarray(p_grid, dtype=float)
-    if np.any(p_grid < 1.0) or np.any(np.diff(p_grid) <= 0):
-        raise ValueError("the exponent grid must be increasing and >= 1")
+    p_grid = log_grid(1.0, 200.0, 4096)
     sup = np.zeros_like(p_grid)
     for f in family:
         sup = np.maximum(sup, lp_norms(f, p_grid, space))
@@ -343,17 +338,15 @@ def psi_from_descriptor(desc) -> PsiFunction:
     raise ValueError(f"unknown generating-function family {family!r}")
 
 
-def export_psi_csv(psi: PsiFunction, path, p_grid=None) -> None:
+def export_psi_csv(psi: PsiFunction, path) -> None:
     """Write a p,psi table that load_psi_csv reads back.  Tabulated
     functions dump their own nodes; the closed-form families are sampled on
     their 256-point scan grid under the cap 200, where excluded endpoints
     sit just inside the support instead of writing their +inf."""
-    if psi.table is not None and p_grid is None:
+    if psi.table is not None:
         nodes, values = psi.table
     else:
-        if p_grid is None:
-            p_grid = psi.scan_grid(GridSpec(points=256, cap=200.0))[0]
-        nodes = np.asarray(p_grid, dtype=float)
+        nodes = psi.scan_grid(GridSpec(points=256, cap=200.0))[0]
         values = psi(nodes)
     with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)

@@ -24,6 +24,9 @@ import numpy as np
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
+#: step budget of min_feasible's bracket doubling or halving
+_BRACKET_STEPS = 1100
+
 
 class BracketError(RuntimeError):
     """Raised when a monotone feasibility bracket cannot be established."""
@@ -267,14 +270,14 @@ def grid_refine_max_batch(fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
 
 
 def min_feasible(feasible: Callable[[float], bool], x0: float, *,
-                 rel_tol: float = 1e-10, factor: float = 2.0,
-                 x_min: float = 1e-300, x_max: float = 1e308,
-                 max_steps: int = 1100, side: str = "mid") -> float:
+                 rel_tol: float = 1e-10, x_min: float = 1e-300,
+                 x_max: float = 1e308, side: str = "mid") -> float:
     """Smallest x with feasible(x) true, for a monotone predicate.
 
     Feasibility must be nondecreasing in x (infeasible below some threshold,
-    feasible above it).  Brackets by geometric expansion/shrinkage from x0,
-    then bisects in the geometric mean to relative tolerance rel_tol.
+    feasible above it).  Brackets by doubling or halving from x0, at most
+    _BRACKET_STEPS times, then bisects in the geometric mean to relative
+    tolerance rel_tol.
 
     Raises NoFeasiblePoint if nothing up to x_max is feasible and
     NoInfeasiblePoint if everything down to x_min stays feasible.
@@ -284,21 +287,21 @@ def min_feasible(feasible: Callable[[float], bool], x0: float, *,
     x0 = min(max(x0, x_min), x_max)
     if feasible(x0):
         hi = x0
-        lo = x0 / factor
-        for _ in range(max_steps):
+        lo = x0 / 2.0
+        for _ in range(_BRACKET_STEPS):
             if lo < x_min:
                 raise NoInfeasiblePoint(
                     f"feasible all the way down to {x_min:g}")
             if not feasible(lo):
                 break
             hi = lo
-            lo /= factor
+            lo /= 2.0
         else:
             raise NoInfeasiblePoint("bracket shrink budget exhausted")
     else:
         lo = x0
-        hi = x0 * factor
-        for _ in range(max_steps):
+        hi = x0 * 2.0
+        for _ in range(_BRACKET_STEPS):
             if hi > x_max:
                 if feasible(x_max):
                     hi = x_max
@@ -307,7 +310,7 @@ def min_feasible(feasible: Callable[[float], bool], x0: float, *,
             if feasible(hi):
                 break
             lo = hi
-            hi *= factor
+            hi *= 2.0
         else:
             raise NoFeasiblePoint("bracket expansion budget exhausted")
     while (hi - lo) > rel_tol * hi:
@@ -333,9 +336,9 @@ def min_feasible_batch(feasible: Callable[[np.ndarray, np.ndarray],
     x_max    -- finite upper limit of the search
     Row k of the result is bit-identical to min_feasible(lambda x:
     feasible([k], [x])[0], 1.0, rel_tol=rel_tol, x_max=x_max, side="hi")
-    with its default factor 2 and x_min.  From x0 = 1 the halving passes
-    x_min and the doubling passes x_max well inside the scalar step budget,
-    so no row can exhaust it.  Bracketing and bisection advance all
+    with its default x_min.  From x0 = 1 the halving passes x_min and the
+    doubling passes x_max well inside _BRACKET_STEPS, so no row can
+    exhaust it.  Bracketing and bisection advance all
     unfinished rows together, one vectorized feasible call per step.  If
     any row would raise, the exception of the first such row is raised.
     """

@@ -66,5 +66,8 @@ def test_c14_verification_battery_deterministic(capsys):
     assert outputs[0] == outputs[1]
     report = json.loads(outputs[0])
     assert report["all_passed"] is True
+    assert report["n_checks"] == len(report["checks"]) >= 10
+    for name, check in report["checks"].items():
+        assert check["passed"], name
     print(f"[C14] verification battery with seed 42 is byte-identical "
           f"across runs ({report['n_checks']} checks): PASS")

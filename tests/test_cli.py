@@ -17,18 +17,36 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import glsnum.bphi
+import glsnum.cli
+import glsnum.duality
 from glsnum import (
+    RandomVariableSample,
     SetFunction,
     associate_bound,
+    associate_norm_oracle,
+    bphi_norm,
+    build_N,
+    conjugate_young_point,
     ess_sup,
+    exponent_V,
     gls_norm,
+    h_of,
     lp_norm,
+    luxemburg_norm,
     make_extremal_psi,
     make_space,
+    membership_check,
+    phi_from_descriptor,
+    power_young,
     probability_space,
+    psi_from_descriptor,
+    psi_from_phi,
     setfunction_norm,
+    validate_young,
+    young_fenchel_point,
 )
-from glsnum.cli import RunConfig, main
+from glsnum.cli import main
 
 POWER2 = '{"family": "power", "params": {"m": 2}}'
 EXTREMAL3 = '{"family": "extremal", "params": {"r": 3}}'
@@ -198,12 +216,121 @@ def test_bphi_norm_center_flag(capsys):
     assert rep["value"] == pytest.approx(1.0, abs=1e-5)
 
 
-def test_verify_passes(capsys):
-    rep = run_json(capsys, "verify", "--seed", "0")
-    assert rep["all_passed"] is True
-    assert rep["n_checks"] == len(rep["checks"]) >= 10
-    for name, check in rep["checks"].items():
-        assert check["passed"], name
+# ---------------------------------------------------------------------------
+# the CLI prints the library's values, bit for bit
+# ---------------------------------------------------------------------------
+
+FAMILIES = {
+    "power": POWER2,
+    "exponential": '{"family": "exponential", "params": {"C": 1, "beta": 1}}',
+    "slowly_varying": '{"family": "slowly_varying", "params": {"m": 2}}',
+    "extremal": EXTREMAL3,
+}
+# total mass 1.5: the extremal grand norm is the 1-norm here, not the 3-norm
+MASS_F = '{"weights": [0.5, 0.25, 0.75], "values": [1.5, -0.4, 0.9]}'
+GAMMA = '{"weights": [0.25, 0.75], "gamma": [0.4, -0.9]}'
+XI = '{"weights": [0.25, 0.5, 0.25], "values": [-1.0, 0.0, 1.0]}'
+PHIS = ['{"family": "quadratic"}', '{"family": "power", "params": {"m": 3}}']
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_cli_prints_library_values(capsys, family):
+    desc = FAMILIES[family]
+    psi = psi_from_descriptor(desc)
+    space = make_space([0.5, 0.25, 0.75])
+    f = space.function([1.5, -0.4, 0.9])
+
+    rep = run_json(capsys, "gnorm", "--input", MASS_F, "--psi", desc)
+    assert rep["result"] == gls_norm(f, psi).to_dict()
+    rep = run_json(capsys, "dual-bound", "--input", MASS_F, "--psi", desc)
+    bound = associate_bound(f, psi).to_dict()
+    assert rep["result"] == bound
+    oracle = associate_norm_oracle(f, psi)
+    for extra in ((), ("--representation",)):
+        rep = run_json(capsys, "dual-oracle", "--input", MASS_F,
+                       "--psi", desc, *extra)
+        assert (rep["oracle"], rep["bound"]) == (oracle, bound)
+    gamma = SetFunction(make_space([0.25, 0.75]), [0.4, -0.9])
+    rep = run_json(capsys, "setnorm", "--input", GAMMA, "--psi", desc)
+    assert rep["value"] == setfunction_norm(gamma, psi)
+
+    rep = run_json(capsys, "legendre", "--psi", desc, "--v", "0.5",
+                   "--v", "3", "--u", "7.5", "--u", "50")
+    h = h_of(psi)
+    for row, v in zip(rep["conjugate"], (0.5, 3.0)):
+        pt = young_fenchel_point(h, v)
+        assert (row["value"], row["argmax_p"]) == (pt.value, pt.argmax_z)
+    assert [row["V"] for row in rep["exponent"]] == [
+        exponent_V(psi, 7.5), exponent_V(psi, 50.0)]
+
+    N = build_N(psi)
+    rep = run_json(capsys, "orlicz-build", "--psi", desc)
+    assert (rep["value_at_1"], rep["value_at_e"], rep["trusted_up_to"]) == (
+        N(1.0), N(math.e), N.trusted_up_to)
+    assert rep["validation"] == validate_young(N)
+    rep = run_json(capsys, "orlicz-norm", "--input", MASS_F, "--psi", desc)
+    assert rep["value"] == luxemburg_norm(f, N)
+    rep = run_json(capsys, "conjugate-young", "--psi", desc,
+                   "--y", "1", "--y", "10")
+    for row, y in zip(rep["values"], (1.0, 10.0)):
+        pt = conjugate_young_point(N, y)
+        assert (row["value"], row["argmax_u"]) == (pt.value, pt.argmax_z)
+
+
+def test_cli_prints_library_values_without_psi(capsys):
+    space = make_space([0.5, 0.25, 0.75])
+    f = space.function([1.5, -0.4, 0.9])
+    rep = run_json(capsys, "orlicz-norm", "--input", MASS_F,
+                   "--power", "2.5")
+    assert rep["value"] == luxemburg_norm(f, power_young(2.5))
+    rep = run_json(capsys, "conjugate-young", "--power", "2", "--y", "7")
+    assert rep["values"][0]["value"] == conjugate_young_point(
+        power_young(2.0), 7.0).value
+    xi = RandomVariableSample(
+        probability_space([0.25, 0.5, 0.25]).function([-1.0, 0.0, 1.0]))
+    for desc in PHIS:
+        phi = phi_from_descriptor(desc)
+        rep = run_json(capsys, "bphi-norm", "--input", XI, "--phi", desc,
+                       "--membership")
+        mem = membership_check(xi, phi, psi=psi_from_phi(phi))
+        assert rep["value"] == bphi_norm(xi, phi) == mem.bphi
+        assert rep["membership"] == mem.to_dict() | {
+            "psi": psi_from_phi(phi).label}
+
+
+def _count_calls(monkeypatch, module, name, also=()):
+    """Wrap module.name (and the same name in the modules `also`) in one
+    counting wrapper; returns the list its calls append to."""
+    real = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kw):
+        calls.append(name)
+        return real(*args, **kw)
+    for mod in (module, *also):
+        monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def test_bphi_norm_membership_computes_the_norm_once(capsys, monkeypatch):
+    calls = _count_calls(monkeypatch, glsnum.bphi, "bphi_norm",
+                         also=(glsnum.cli,))
+    for extra in ((), ("--membership",)):
+        calls.clear()
+        run_json(capsys, "bphi-norm", "--input", XI, "--phi", PHIS[0],
+                 *extra)
+        assert len(calls) == 1, extra
+
+
+def test_dual_oracle_representation_runs_two_pairing_sups(capsys,
+                                                          monkeypatch):
+    calls = _count_calls(monkeypatch, glsnum.duality,
+                         "_unit_ball_pairing_sup")
+    for extra, expected in (((), 1), (("--representation",), 2)):
+        calls.clear()
+        run_json(capsys, "dual-oracle", "--input", MASS_F,
+                 "--psi", EXTREMAL3, *extra)
+        assert len(calls) == expected, extra
 
 
 # ---------------------------------------------------------------------------
@@ -277,15 +404,6 @@ def test_orlicz_norm_psi_power_exclusive(capsys, csv_file):
     code, _, err = run_cli(capsys, "orlicz-norm", "--input", csv_file)
     assert code == 1
     assert "--psi or --power" in err
-
-
-def test_config_validation(capsys, csv_file):
-    code, _, err = run_cli(capsys, "gnorm", "--input", csv_file,
-                           "--psi", POWER2, "--grid-points", "4")
-    assert code == 1
-    assert "--grid-points" in err
-    with pytest.raises(ValueError):
-        RunConfig(tol=1.0)
 
 
 def test_unknown_subcommand_exits_via_argparse(capsys):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from conftest import dense_gls_reference, random_function, random_space
 from glsnum.glnorm import FamilyUnitNormReport, family_unit_norm_check, \
     gls_norm
-from glsnum.measure import lp_norm, probability_space
+from glsnum.measure import lp_norm, make_space, probability_space
 from glsnum.psi import (make_exp_psi, make_extremal_psi, make_power_psi,
                         make_sv_psi)
 from glsnum.search import GridSpec
@@ -17,7 +17,7 @@ SV_LOG = lambda p: np.log(math.e - 1.0 + np.asarray(p, dtype=float))
 
 
 def test_extremal_recovers_lp(rng):
-    # psi identically 1 on [1, r]: the grand norm IS the L_r norm
+    # psi identically 1 on [1, r] on a probability space: the L_r norm
     for r in (2.0, 3.0, 5.0):
         psi = make_extremal_psi(r)
         for _ in range(5):
@@ -28,6 +28,17 @@ def test_extremal_recovers_lp(rng):
                                               abs=1e-12, rel=1e-12)
             assert res.argmax_p == pytest.approx(r, rel=1e-9)
             assert not res.hit_cap
+
+
+def test_extremal_on_mass_above_one_is_max_of_end_norms():
+    # ln |f|_p is convex in 1/p, so the sup over [1, r] sits at an end; on a
+    # total mass above 1 the 1-norm can win
+    space = make_space([1.5, 0.5])
+    f = space.function([1.0, 0.2])
+    res = gls_norm(f, make_extremal_psi(3.0), space)
+    assert res.value == lp_norm(f, 1.0, space) == pytest.approx(1.6)
+    assert lp_norm(f, 3.0, space) == pytest.approx(1.1457, rel=1e-4)
+    assert res.argmax_p == 1.0
 
 
 def test_zero_function():
