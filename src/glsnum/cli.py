@@ -24,6 +24,7 @@ tolerances), so a subcommand prints the value of the matching library call.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -419,9 +420,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of main, built on first use and reused: parse_args keeps
+    no state between calls (the append defaults are copied, not extended)."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.handler(args)
     except (ValueError, BracketError, OSError, KeyError,

@@ -38,7 +38,8 @@ import numpy as np
 from glsnum.convex import GrowthReport, growth_report_for_psi
 from glsnum.glnorm import DEFAULT_GRID, GlsNormResult, gls_norm
 from glsnum.measure import (DiscreteMeasureSpace, MeasurableFunction,
-                            _atom_array, _check_bound, lp_norm, lp_norms)
+                            _atom_array, _check_bound, _log_norm_slopes,
+                            lp_norm, lp_norms)
 from glsnum.orlicz import (YoungFunction, build_N, conjugate_young_function,
                            luxemburg_norm)
 from glsnum.psi import PsiFunction, adjacent
@@ -83,7 +84,9 @@ def associate_bound(g: MeasurableFunction, psi: PsiFunction,
                     space: DiscreteMeasureSpace | None = None,
                     grid: GridSpec = DEFAULT_GRID) -> AssociateBoundResult:
     """Upper bound inf_q |g|_q / nu(q) on the associate norm of the
-    functional with density g."""
+    functional with density g: a log grid scan over the domain of nu, then
+    Newton's method on the slope of ln|g|_q + ln psi(q/(q-1)) when psi
+    declares its log-slope, golden section otherwise."""
     space = _check_bound(g, space)
     nu = adjacent(psi)
     qs, capped = nu.scan_grid(grid)
@@ -98,10 +101,21 @@ def associate_bound(g: MeasurableFunction, psi: PsiFunction,
             return -math.inf
         return -lp_norm(g, q, space) / nu_q
 
-    q_star, neg_value, _ = grid_refine_max(neg_scalar, qs, values=-objective,
-                                           rel_tol=grid.rel_tol,
-                                           refine_in_log=True)
-    value = -neg_scalar(q_star)
+    slope = None
+    if psi.log_slope is not None:
+        def slope(q: float) -> tuple[float, float]:
+            # -(ln|g|_q + ln psi(c)) with c = q/(q-1), c' = -1/(q-1)^2 and
+            # c'' = 2/(q-1)^3
+            d1, d2 = _log_norm_slopes(g, q)
+            s1, s2 = psi.log_slope(q / (q - 1.0))
+            c1 = -1.0 / (q - 1.0) ** 2
+            c2 = 2.0 / (q - 1.0) ** 3
+            return -(d1 + s1 * c1), -(d2 + s2 * c1 * c1 + s1 * c2)
+
+    q_star, neg_value, idx = grid_refine_max(
+        neg_scalar, qs, values=-objective, rel_tol=grid.rel_tol,
+        refine_in_log=True, slope=slope)
+    value = -neg_scalar(q_star) if q_star == qs[idx] else -neg_value
     hit_cap = bool(capped and q_star >= qs[-2])
     return AssociateBoundResult(value=float(value), arginf_q=float(q_star),
                                 hit_cap=hit_cap)

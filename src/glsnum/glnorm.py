@@ -2,11 +2,13 @@
 
 The supremum is approximated by a log-spaced grid scan over the effective
 support (infinite right endpoints are capped, with a flag when the maximizer
-lands against the cap) followed by a golden-section polish of the best grid
-cell.  Included endpoints are grid nodes, so norms that are attained at an
-endpoint (for instance under the constant-one family on [1, r], where the
-grand norm is max(|f|_1, |f|_r), exactly the r-norm when the total mass is
-at most 1) come out exact.
+lands against the cap) followed by a polish of the best grid cell: a
+bracketed Newton iteration on the exact slopes of ln|f|_p - ln psi(p) when
+psi declares its log-slope (power, exponential and constant-one families),
+golden section otherwise.  Included endpoints are grid nodes, so norms that
+are attained at an endpoint (for instance under the constant-one family on
+[1, r], where the grand norm is max(|f|_1, |f|_r), exactly the r-norm when
+the total mass is at most 1) come out exact.
 """
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from glsnum.measure import (DiscreteMeasureSpace, MeasurableFunction,
-                            _check_bound, lp_norm, lp_norms)
+                            _check_bound, _log_norm_slopes, lp_norm, lp_norms)
 from glsnum.psi import PsiFunction, natural_function
 from glsnum.search import GridSpec, grid_refine_max
 
@@ -54,9 +56,10 @@ def gls_norm(f: MeasurableFunction, psi: PsiFunction,
     """Grand norm of f under the generating function psi.
 
     Scans |f|_p / psi(p) on a log-spaced grid over the effective support and
-    polishes the best cell with golden-section search.  The reported value is
-    recomputed at the argmax through the scalar p-norm path, so the invariant
-    value = lp_norm(f, argmax_p) / psi(argmax_p) holds to machine precision.
+    polishes the best cell: Newton's method on the slope of ln|f|_p -
+    ln psi(p) when psi.log_slope is set, golden-section search otherwise.
+    The reported value is the scalar p-norm path at the argmax, so
+    value == lp_norm(f, argmax_p) / psi(argmax_p) bit for bit.
     """
     space = _check_bound(f, space)
     ps, capped = psi.scan_grid(grid)
@@ -70,9 +73,18 @@ def gls_norm(f: MeasurableFunction, psi: PsiFunction,
             return -np.inf
         return lp_norm(f, p, space) / denom
 
+    slope = None
+    if psi.log_slope is not None:
+        def slope(p: float) -> tuple[float, float]:
+            d1, d2 = _log_norm_slopes(f, p)
+            s1, s2 = psi.log_slope(p)
+            return d1 - s1, d2 - s2
+
     p_star, value, idx = grid_refine_max(
-        scalar, ps, values=objective, rel_tol=grid.rel_tol, refine_in_log=True)
-    value = scalar(p_star)
+        scalar, ps, values=objective, rel_tol=grid.rel_tol, refine_in_log=True,
+        slope=slope)
+    if p_star == ps[idx]:  # a polished value is scalar(p_star) already
+        value = scalar(p_star)
     if value == -np.inf:  # zero function on a degenerate refinement cell
         value = 0.0
     hit_cap = bool(capped and p_star >= ps[-2])

@@ -25,11 +25,9 @@ __all__ = [
     "MeasurableFunction",
     "make_space",
     "probability_space",
-    "uniform_probability_space",
     "integrate",
     "lp_norm",
     "lp_norms",
-    "ess_sup",
     "load_csv",
     "load_json",
     "parse_space_dict",
@@ -170,12 +168,6 @@ def probability_space(weights) -> DiscreteMeasureSpace:
     return make_space(arr / math.fsum(arr.flat), probability=True)
 
 
-def uniform_probability_space(n: int) -> DiscreteMeasureSpace:
-    if n < 1:
-        raise ValueError("need at least one atom")
-    return make_space([1.0 / n] * n, probability=True)
-
-
 def _check_bound(f: MeasurableFunction, space: DiscreteMeasureSpace | None
                  ) -> DiscreteMeasureSpace:
     if space is None or space is f.space:
@@ -190,13 +182,6 @@ def integrate(f: MeasurableFunction,
     """Integral of f: the weighted sum over atoms."""
     space = _check_bound(f, space)
     return float(np.dot(f.value_array, space.weight_array))
-
-
-def ess_sup(f: MeasurableFunction,
-            space: DiscreteMeasureSpace | None = None) -> float:
-    """Essential supremum of |f|; every atom carries positive mass."""
-    _check_bound(f, space)
-    return float(np.max(np.abs(f.value_array)))
 
 
 def _power_terms(f: MeasurableFunction
@@ -240,6 +225,32 @@ def lp_norm(f: MeasurableFunction, p: float,
     hi = lam.size if lam[-1] <= cut else lam.searchsorted(cut, side="right")
     terms = -p * lam[:hi]
     return top * float(np.dot(np.exp(terms, out=terms), w[:hi])) ** (1.0 / p)
+
+
+def _log_norm_slopes(f: MeasurableFunction, p: float) -> tuple[float, float]:
+    """First and second derivatives of ln|f|_p in p at one finite p >= 1.
+
+    With S_k = sum w lam^k exp(-p lam) over lp_norm's terms (same cut),
+    L = ln S0 has L' = -S1/S0 and L'' = S2/S0 - (S1/S0)^2, the variance of
+    lam under the weights w exp(-p lam), taken about its mean so that it
+    does not cancel.  ln|f|_p = ln top + L/p then gives L'/p - L/p^2 and
+    L''/p - 2L'/p^2 + 2L/p^3.  Scale-free (lam only); (0, 0) for f = 0.
+    """
+    top, lam, w = _power_terms(f)
+    if top == 0.0:
+        return 0.0, 0.0
+    cut = -_EXP_FLOOR / p
+    hi = lam.size if lam[-1] <= cut else lam.searchsorted(cut, side="right")
+    lam = lam[:hi]
+    e = -p * lam
+    np.exp(e, out=e)
+    e *= w[:hi]
+    s0 = float(e.sum())
+    mean = float(np.dot(e, lam)) / s0  # -L'
+    dev = lam - mean
+    var = float(np.dot(e, dev * dev)) / s0  # L''
+    L = math.log(s0)
+    return (-mean - L / p) / p, (var + 2.0 * (mean + L / p) / p) / p
 
 
 def lp_norms(f: MeasurableFunction, ps,

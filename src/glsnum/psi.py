@@ -76,7 +76,10 @@ class PsiFunction:
 
     Calls accept scalars or arrays; points outside the support evaluate to
     +inf.  `interior` is the closed-form (or interpolated) formula on the
-    support and must accept numpy arrays.
+    support and must accept numpy arrays.  `log_slope`, set by the families
+    whose ln psi has closed-form derivatives, maps a support point p to
+    ((ln psi)'(p), (ln psi)''(p)); the grand-norm and adjacent-bound scans
+    polish by Newton's method with it, and by golden section without.
     """
 
     a: float
@@ -86,6 +89,7 @@ class PsiFunction:
     interior: Callable[[np.ndarray], np.ndarray]
     label: str = "psi"
     table: tuple | None = None  # (p_nodes, values) for tabulated functions
+    log_slope: Callable[[float], tuple[float, float]] | None = None
 
     def __post_init__(self) -> None:
         if not (1.0 <= self.a < self.b):
@@ -130,7 +134,11 @@ class AdjacentFunction:
         x = np.atleast_1d(arr).astype(float)
         if np.any(x < 1.0):
             raise ValueError("adjacent functions live on exponents q >= 1")
-        vals = self.psi(_conjugate_array(x))
+        c = _conjugate_array(x)
+        # the domain's ends map to psi's ends exactly, not rounded past them
+        c[x == self.q_lower] = self.psi.b
+        c[x == self.q_upper] = self.psi.a
+        vals = self.psi(c)
         vals = np.atleast_1d(np.asarray(vals, dtype=float))
         out = np.where(np.isinf(vals), 0.0, 1.0 / vals)
         return float(out[0]) if scalar else out
@@ -185,7 +193,7 @@ def make_extremal_psi(r: float) -> PsiFunction:
     return _check_normalized(PsiFunction(
         a=1.0, b=r, include_a=True, include_b=True,
         interior=lambda p: np.ones_like(p),
-        label=f"extremal(r={r:g})"))
+        label=f"extremal(r={r:g})", log_slope=lambda p: (0.0, 0.0)))
 
 
 def make_power_psi(m: float) -> PsiFunction:
@@ -196,7 +204,8 @@ def make_power_psi(m: float) -> PsiFunction:
     return _check_normalized(PsiFunction(
         a=1.0, b=math.inf, include_a=True, include_b=False,
         interior=lambda p: p ** (1.0 / m),
-        label=f"power(m={m:g})"))
+        label=f"power(m={m:g})",
+        log_slope=lambda p: (1.0 / (m * p), -1.0 / (m * p * p))))
 
 
 def make_sv_psi(m: float, L: Callable[[np.ndarray], np.ndarray], *,
@@ -234,7 +243,9 @@ def make_exp_psi(C: float, beta: float) -> PsiFunction:
     return _check_normalized(PsiFunction(
         a=1.0, b=math.inf, include_a=True, include_b=False,
         interior=lambda p: np.exp(C * (p ** beta - 1.0)),
-        label=f"exponential(C={C:g},beta={beta:g})"))
+        label=f"exponential(C={C:g},beta={beta:g})",
+        log_slope=lambda p: (C * beta * p ** (beta - 1.0),
+                             C * beta * (beta - 1.0) * p ** (beta - 2.0))))
 
 
 def make_table_psi(p_nodes, values, *, label: str = "table") -> PsiFunction:

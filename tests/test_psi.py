@@ -327,3 +327,36 @@ def test_adjacent_scalar_call_matches_one_element_array(name, include_a,
         ref = nu(np.array([q]))[0]
     assert type(out) is float
     assert out.hex() == float(ref).hex()
+
+
+@pytest.mark.parametrize("psi", [
+    make_power_psi(1.0), make_power_psi(3.7), make_exp_psi(1.0, 0.5),
+    make_exp_psi(0.1, 1.4), make_extremal_psi(1.5), make_extremal_psi(5.3)],
+    ids=lambda psi: psi.label)
+def test_declared_log_slope_matches_central_differences(psi):
+    # (ln psi)' against a central difference of ln psi, and (ln psi)''
+    # against one of the declared (ln psi)', at 50 points of the support
+    top = min(psi.b, 200.0)
+    for p in np.geomspace(1.0 + 1e-3, top * (1.0 - 1e-3), 50):
+        p = float(p)
+        h = 1e-5 * p
+        d1, d2 = psi.log_slope(p)
+        diff1 = (math.log(psi(p + h)) - math.log(psi(p - h))) / (2.0 * h)
+        diff2 = (psi.log_slope(p + h)[0] - psi.log_slope(p - h)[0]) / (2.0 * h)
+        assert d1 == pytest.approx(diff1, rel=1e-6, abs=0.0)
+        assert d2 == pytest.approx(diff2, rel=1e-6, abs=0.0)
+
+
+def test_only_closed_form_families_declare_a_log_slope():
+    assert make_sv_psi(2.0, SLOWLY_VARYING["log"]).log_slope is None
+    assert make_table_psi([1.0, 2.0], [1.0, 1.5]).log_slope is None
+    assert psi_from_phi(quadratic_phi()).log_slope is None
+
+
+@pytest.mark.parametrize("r", np.linspace(1.5, 6.0, 46))
+def test_adjacent_ends_map_to_the_support_ends(r):
+    # r -> r/(r-1) -> back can round past r; the domain's included end must
+    # still give nu = 1/psi(r), not the 0 of a point outside the support
+    nu = adjacent(make_extremal_psi(float(r)))
+    assert nu(nu.q_lower) == 1.0
+    assert nu(np.array([nu.q_lower, 2.0 * nu.q_lower]))[0] == 1.0
