@@ -65,12 +65,17 @@ class PhiFunction:
 
     Outside the open interval the function is +inf (so constraints there are
     vacuous).  `core` is the formula on nonnegative arguments inside the
-    interval and must accept numpy arrays.
+    interval and must accept numpy arrays.  `inverse`, set by quadratic_phi
+    and power_phi, is a pair (c, e) with phi^(-1)(y) = (c y)^e in closed
+    form for y in [0, sup phi): psi_from_phi then evaluates its companion by
+    that formula and declares its log-slope; without it psi_from_phi
+    inverts phi by bisection.
     """
 
     lambda0: float
     core: Callable[[np.ndarray], np.ndarray]
     label: str = "phi"
+    inverse: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
         if not self.lambda0 > 0:
@@ -111,7 +116,7 @@ def quadratic_phi(lambda0: float = math.inf) -> PhiFunction:
     """phi(lambda) = lambda^2 / 2, the canonical subgaussian rate."""
     return PhiFunction(lambda0=float(lambda0),
                        core=lambda x: 0.5 * x ** 2,
-                       label="quadratic")
+                       label="quadratic", inverse=(2.0, 0.5))
 
 
 def power_phi(m: float, lambda0: float = math.inf) -> PhiFunction:
@@ -126,7 +131,7 @@ def power_phi(m: float, lambda0: float = math.inf) -> PhiFunction:
         raise ValueError(f"needs m > 1, got {m}")
     return PhiFunction(lambda0=float(lambda0),
                        core=lambda x: x ** m / m,
-                       label=f"power({m:g})")
+                       label=f"power({m:g})", inverse=(m, 1.0 / m))
 
 
 def phi_from_descriptor(desc) -> PhiFunction:
@@ -315,33 +320,48 @@ def psi_from_phi(phi: PhiFunction, *, normalize: bool = True
     The support is [1, b) with b the supremum of phi over its interval
     (exponents beyond the range of phi are outside the support); with
     normalize the function is rescaled to infimum 1 over [1, 200], scanned
-    on 512 log-spaced points.  An evaluation at several points inverts phi
-    at all of them in one batched bracket-and-bisect pass that gives every
-    point exactly the scalar increasing_inverse(phi, p,
-    rel_tol=_INVERSE_TOL); an evaluation at one point (a scalar psi call,
-    and each step of the normalization polish) runs that scalar inversion,
-    about 44 scalar phi calls, each a Python float with no masked array.
+    on 512 log-spaced points.
+
+    With phi.inverse = (c, e) the companion is the formula p / (c p)^e,
+    one vectorized expression at any number of points, and it declares
+    its log-slope ((1 - e) / p, -(1 - e) / p^2), so grand norms and
+    Legendre tables under it polish by Newton's method.  Without it an
+    evaluation at several points inverts phi at all of them in one batched
+    bracket-and-bisect pass that gives every point exactly the scalar
+    increasing_inverse(phi, p, rel_tol=_INVERSE_TOL); an evaluation at one
+    point (a scalar psi call, and each step of the normalization polish)
+    runs that scalar inversion, about 44 scalar phi calls.
     """
     sup_phi = phi.sup_value
     if sup_phi <= 1.0:
         raise ValueError(
             f"{phi.label}: range sup {sup_phi!r} <= 1 leaves no exponents "
             "p >= 1 in the support")
-    lam_hi = phi.lambda0 if math.isfinite(phi.lambda0) else 1e154
+    log_slope = None
+    if phi.inverse is not None:
+        c, e = phi.inverse
 
-    def raw(p: np.ndarray) -> np.ndarray:
-        flat = np.atleast_1d(np.asarray(p, dtype=float))
-        if flat.size == 1:  # one point: the scalar loop has less overhead
-            inv = increasing_inverse(phi, float(flat[0]), x_hi=lam_hi,
-                                     rel_tol=_INVERSE_TOL)
-        else:
-            # support points p >= 1 lie above phi(0) = 0, where
-            # increasing_inverse is min_feasible(side="hi") from lambda = 1
-            inv = min_feasible_batch(
-                lambda rows, lam: phi(lam) >= flat[rows], flat.size,
-                rel_tol=_INVERSE_TOL, x_max=lam_hi)
-        out = flat / inv
-        return out if np.ndim(p) else out[0]
+        def raw(p):
+            return p / (c * p) ** e
+
+        def log_slope(p):
+            return (1.0 - e) / p, -(1.0 - e) / (p * p)
+    else:
+        lam_hi = phi.lambda0 if math.isfinite(phi.lambda0) else 1e154
+
+        def raw(p):
+            flat = np.atleast_1d(np.asarray(p, dtype=float))
+            if flat.size == 1:  # one point: the scalar loop has less overhead
+                inv = increasing_inverse(phi, float(flat[0]), x_hi=lam_hi,
+                                         rel_tol=_INVERSE_TOL)
+            else:
+                # support points p >= 1 lie above phi(0) = 0, where
+                # increasing_inverse is min_feasible(side="hi") from 1
+                inv = min_feasible_batch(
+                    lambda rows, lam: phi(lam) >= flat[rows], flat.size,
+                    rel_tol=_INVERSE_TOL, x_max=lam_hi)
+            out = flat / inv
+            return out if np.ndim(p) else out[0]
 
     scale = 1.0
     if normalize:
@@ -350,7 +370,7 @@ def psi_from_phi(phi: PhiFunction, *, normalize: bool = True
     return PsiFunction(
         a=1.0, b=sup_phi, include_a=True, include_b=False,
         interior=lambda p: raw(p) / scale,
-        label=f"from_phi[{phi.label}]")
+        label=f"from_phi[{phi.label}]", log_slope=log_slope)
 
 
 @dataclass(frozen=True)

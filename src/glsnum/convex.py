@@ -3,9 +3,13 @@
 The central object is h(p) = p * ln(psi(p)) on the support of a generating
 function; its Young conjugate h*(v) = sup_z (v z - h(z)) evaluated at
 v = ln|u| is the exponent function V(u) that builds the matching exponential
-Young function.  Conjugates are computed by a grid scan plus golden-section
-polish, for a table of slopes by one matrix scan whose polishes all advance
-together; when the maximizer abuts a computational cap the point is flagged
+Young function.  Conjugates are computed by a grid scan plus a polish of the
+best cell, for a table of slopes by one matrix scan whose polishes all
+advance together.  The polish is a bracketed Newton iteration on the exact
+slopes of h when psi declares its log-slope (power, exponential,
+constant-one and companion families), golden section otherwise (slowly
+varying and tabulated psi, the conjugate of a tabulated Young function);
+when the maximizer abuts a computational cap the point is flagged
 (the reported value is then a certified lower bound on the true supremum,
 which may be finite or infinite depending on the growth of h beyond the cap).
 """
@@ -46,7 +50,10 @@ class RealFunction1D:
 
     `capped` records that the interval is the truncation of a larger true
     domain (an infinite endpoint replaced by a computational cap), which the
-    conjugate machinery surfaces as hit_cap flags.
+    conjugate machinery surfaces as hit_cap flags.  `slope`, when set, maps
+    a 1-d array of domain points to the arrays of the first and second
+    derivatives of fn there; the conjugate polishes by Newton's method with
+    it.
     """
 
     lo: float
@@ -56,6 +63,7 @@ class RealFunction1D:
     hi_included: bool = True
     capped: bool = False
     label: str = "h"
+    slope: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
 
     def __post_init__(self) -> None:
         if not self.lo < self.hi:
@@ -72,17 +80,25 @@ class RealFunction1D:
 
 def h_of(psi: PsiFunction, *, cap: float = 200.0) -> RealFunction1D:
     """h(p) = p * ln(psi(p)) on the support of psi, clipped to [a, cap]; h's
-    interval check is the only one, fn takes psi's formula unmasked."""
+    interval check is the only one, fn takes psi's formula unmasked.  With
+    psi.log_slope, h carries its slopes h' = ln psi + p (ln psi)' and
+    h'' = 2 (ln psi)' + p (ln psi)''."""
     capped = psi.b > cap
 
     def fn(p: np.ndarray) -> np.ndarray:
         return p * np.log(psi.interior(p))
 
+    slope = None
+    if psi.log_slope is not None:
+        def slope(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            d1, d2 = psi.log_slope(p)
+            return np.log(psi.interior(p)) + p * d1, 2.0 * d1 + p * d2
+
     return RealFunction1D(lo=psi.a, hi=min(psi.b, cap), fn=fn,
                           lo_included=psi.include_a,
                           hi_included=psi.include_b or capped,
                           capped=capped,
-                          label=f"h[{psi.label}]")
+                          label=f"h[{psi.label}]", slope=slope)
 
 
 @dataclass(frozen=True)
@@ -101,8 +117,9 @@ class ConjugatePoint:
 
 def young_fenchel_point(h: RealFunction1D, v: float,
                         grid: GridSpec = CONJUGATE_GRID) -> ConjugatePoint:
-    """h*(v) = sup_z (v z - h(z)) over the domain of h, by grid scan plus
-    golden-section polish."""
+    """h*(v) = sup_z (v z - h(z)) over the domain of h, by grid scan plus a
+    polish of the best cell: Newton's method on v - h'(z) when h.slope is
+    set, golden section otherwise."""
     v = float(v)
     zs = h.scan_grid(grid.points)
     with np.errstate(invalid="ignore"):
@@ -114,8 +131,15 @@ def young_fenchel_point(h: RealFunction1D, v: float,
             return -math.inf
         return v * z - hz
 
+    slope = None
+    if h.slope is not None:
+        def slope(z: float) -> tuple[float, float]:
+            # a one-element array: the bits of young_fenchel_table's rows
+            d1, d2 = h.slope(np.array([z]))
+            return v - float(d1[0]), -float(d2[0])
+
     z_star, value, _ = grid_refine_max(scalar, zs, values=objective,
-                                       rel_tol=grid.rel_tol)
+                                       rel_tol=grid.rel_tol, slope=slope)
     hit_cap = bool(h.capped and z_star >= zs[-2])
     return ConjugatePoint(value=float(value), argmax_z=float(z_star),
                           hit_cap=hit_cap)
@@ -132,9 +156,9 @@ def young_fenchel_table(h: RealFunction1D, vs,
     """Conjugate over an array of slopes, equal to young_fenchel_point at
     each slope bit for bit.
 
-    The grid stage is one in-place matrix pass; the golden-section polishes
-    of all slopes then advance together.  Returns (values, argmaxes, hit_cap
-    flags).
+    The grid stage is one in-place matrix pass; the polishes of all slopes
+    then advance together, Newton steps when h.slope is set and golden
+    section otherwise.  Returns (values, argmaxes, hit_cap flags).
     """
     vs = np.asarray(vs, dtype=float)
     zs = h.scan_grid(grid.points)
@@ -148,8 +172,16 @@ def young_fenchel_table(h: RealFunction1D, vs,
         out[~np.isfinite(hz)] = -math.inf
         return out
 
+    slope = None
+    if h.slope is not None:
+        def slope(rows: np.ndarray, z: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
+            d1, d2 = h.slope(z)
+            return vs[rows] - d1, -d2
+
     argmaxes, values = grid_refine_max_batch(objective, zs, mat,
-                                             rel_tol=grid.rel_tol)
+                                             rel_tol=grid.rel_tol,
+                                             slope=slope)
     flags = h.capped & (argmaxes >= zs[-2])
     return values, argmaxes, flags
 

@@ -77,9 +77,11 @@ class PsiFunction:
     Calls accept scalars or arrays; points outside the support evaluate to
     +inf.  `interior` is the closed-form (or interpolated) formula on the
     support and must accept numpy arrays.  `log_slope`, set by the families
-    whose ln psi has closed-form derivatives, maps a support point p to
-    ((ln psi)'(p), (ln psi)''(p)); the grand-norm and adjacent-bound scans
-    polish by Newton's method with it, and by golden section without.
+    whose ln psi has closed-form derivatives (and by psi_from_phi when phi
+    has a closed-form inverse), maps a support point p, a float or an
+    array, to ((ln psi)'(p), (ln psi)''(p)); the grand-norm, adjacent-bound
+    and Legendre scans polish by Newton's method with it, and by golden
+    section without.
     """
 
     a: float

@@ -14,9 +14,9 @@ geometric bracket expansion plus bisection.
 
 grid_refine_max_batch and min_feasible_batch run many independent searches
 of one kind together: the same per-row arithmetic as the scalar routines,
-bit for bit, with one vectorized objective or predicate call per step.  The
-scalar routines stay for single queries, where numpy's per-call overhead
-would outweigh the batching.
+bit for bit, with one vectorized objective, slope or predicate call per
+step.  The scalar routines stay for single queries, where numpy's per-call
+overhead would outweigh the batching.
 """
 from __future__ import annotations
 
@@ -290,20 +290,54 @@ def _golden_max_rows(fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
     return x, fx
 
 
+def _newton_max_rows(slope: Callable[[np.ndarray, np.ndarray],
+                                     tuple[np.ndarray, np.ndarray]],
+                     rows: np.ndarray, x: np.ndarray, g: np.ndarray,
+                     h: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                     rel_tol: float) -> np.ndarray:
+    """_newton_max on many brackets at once: row k runs from x[k] with slope
+    (g[k], h[k]) inside [lo[k], hi[k]] on the slope of rows[k].  Every row
+    runs exactly the steps and arithmetic of the scalar loop; finished rows
+    drop out.  The argument arrays are overwritten."""
+    act = np.arange(rows.size)
+    for _ in range(_NEWTON_STEPS):
+        xa, ga, ha, la, ua = x[act], g[act], h[act], lo[act], hi[act]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            x_new = np.where(ha < 0, xa - ga / ha, np.nan)
+        out = ~((la <= x_new) & (x_new <= ua))  # NaN fails too
+        x_new[out] = 0.5 * (la[out] + ua[out])
+        x[act] = x_new
+        act = act[~(np.abs(x_new - xa) <= rel_tol * np.abs(x_new))]
+        if act.size == 0:
+            break
+        g[act], h[act] = slope(rows[act], x[act])
+        ga = g[act]
+        lo[act[ga > 0]] = x[act[ga > 0]]
+        hi[act[ga < 0]] = x[act[ga < 0]]
+        act = act[(ga > 0) | (ga < 0)]  # a zero or NaN slope stops the row
+    return x
+
+
 def grid_refine_max_batch(fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
                           xs: Sequence[float], values: np.ndarray, *,
-                          rel_tol: float = 1e-10
+                          rel_tol: float = 1e-10,
+                          slope: Callable[[np.ndarray, np.ndarray],
+                                          tuple[np.ndarray, np.ndarray]]
+                          | None = None
                           ) -> tuple[np.ndarray, np.ndarray]:
     """grid_refine_max for many objectives over one shared grid.
 
     fn      -- fn(rows, x): objective of each row in the index array rows at
                the matching point of x (both 1-d, same length)
     values  -- (rows, len(xs)) grid values; overwritten (NaN -> -inf)
+    slope   -- optional slope(rows, x) = (first, second) derivative arrays,
+               row by row what grid_refine_max's slope returns
     Returns arrays (x_star, f_star).  Row k is bit-identical to the first two
     results of grid_refine_max(lambda x: fn([k], [x])[0], xs,
-    values=values[k], rel_tol=rel_tol) with the linear (not log) polish; the
-    polishes of all rows advance together, one vectorized fn call per
-    golden-section step.
+    values=values[k], rel_tol=rel_tol, slope=...) with the row's slope, and
+    without one with the linear (not log) golden-section polish; the
+    polishes of all rows advance together, one vectorized fn or slope call
+    per step.
     """
     xs = np.asarray(xs, dtype=float)
     values[np.isnan(values)] = -np.inf
@@ -313,13 +347,27 @@ def grid_refine_max_batch(fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
     lo = xs[np.maximum(idx - 1, 0)]
     hi = xs[np.minimum(idx + 1, len(xs) - 1)]
     polish = np.flatnonzero((hi > lo) & np.isfinite(f_star))
-    if polish.size:
-        lo, hi = lo[polish], hi[polish]
+    if polish.size == 0:
+        return x_star, f_star
+    lo, hi = lo[polish], hi[polish]
+    if slope is not None:
+        x0 = x_star[polish]
+        g, h = slope(polish, x0)
+        right = (g > 0) & (hi > x0)
+        left = (g < 0) & (lo < x0)
+        lo[right] = x0[right]
+        hi[left] = x0[left]
+        go = right | left  # the other rows keep their best node
+        polish = polish[go]
+        xr = _newton_max_rows(slope, polish, x0[go], g[go], h[go], lo[go],
+                              hi[go], rel_tol)
+        fr = fn(polish, xr)
+    else:
         tol = rel_tol * np.maximum(np.maximum(np.abs(lo), np.abs(hi)), 1.0)
         xr, fr = _golden_max_rows(fn, polish, lo, hi, tol)
-        better = fr > f_star[polish]
-        x_star[polish[better]] = xr[better]
-        f_star[polish[better]] = fr[better]
+    better = fr > f_star[polish]
+    x_star[polish[better]] = xr[better]
+    f_star[polish[better]] = fr[better]
     return x_star, f_star
 
 

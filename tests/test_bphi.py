@@ -300,6 +300,33 @@ def test_bphi_norm_homogeneous_over_double_range(k, q):
     assert bphi_norm(xi.scaled(c), phi) == c * bphi_norm(xi, phi)
 
 
+def _two_point_subgaussian_norm(x: float, q: float) -> float:
+    """Exact quadratic_phi norm of two_point(x, q): |x| / (1 - q) times the
+    optimal variance proxy root sqrt((1 - 2q) / (2 ln((1 - q) / q))) of a
+    centred Bernoulli(q), |x| at q = 1/2; ln((1 - q) / q) is taken as
+    log1p((1 - 2q) / q) so that the ratio keeps its digits near q = 1/2."""
+    d = 1.0 - 2.0 * q
+    if d == 0.0:
+        return abs(x)
+    return abs(x) / (1.0 - q) * math.sqrt(d / (2.0 * math.log1p(d / q)))
+
+
+@given(x=st.floats(min_value=1e-3, max_value=1e3),
+       negative=st.booleans(),
+       q=st.floats(min_value=0.001, max_value=0.999))
+@settings(max_examples=150, deadline=None)
+def test_bphi_norm_two_point_against_closed_form(x, negative, q):
+    # the lambda grid can only leave the norm below the exact one (by at
+    # most 5.05e-4 over 20,001 q); above it stands only the tau bisection,
+    # which stops within its relative tolerance 1e-8 above the smallest
+    # tau feasible on the grid (it exceeded the exact norm by up to 4.97e-9
+    # on that scan), plus the rounding of both sides
+    x = -x if negative else x
+    exact = _two_point_subgaussian_norm(x, q)
+    got = bphi_norm(two_point(x, q), quadratic_phi())
+    assert exact * (1.0 - 1e-3) <= got <= exact * (1.0 + 1e-8) * (1.0 + 1e-12)
+
+
 def test_bphi_norm_infinite_when_no_feasible_tau():
     # phi = lambda^4 / 4 vanishes faster than the mgf's lambda^2 / 2 at the
     # origin, so the smallest grid lambda forces tau into the hundreds; with
@@ -327,16 +354,20 @@ def test_psi_from_phi_raw_scale():
     np.testing.assert_allclose(psi(ps), np.sqrt(ps / 2.0), rtol=1e-8)
 
 
-# float.hex of the companion psi at p = 1, 2, 7.3 and 50, computed before the
-# rate functions had a scalar call path; quadratic_phi(40) agrees with
-# quadratic_phi() since phi^(-1)(p) = sqrt(2p) for every p < 800 on both
+# float.hex of the companion psi at p = 1, 2, 7.3 and 50 by the closed-form
+# inverse of phi (each within 2.3e-16 of p^(1 - 1/m)); the bisection before
+# it gave 0x1.59d642bc4f91dp+1 and 0x1.c48c6001eff93p+2 at 7.3 and 50 for
+# the quadratic, and 0x1.000000000049cp+0, 0x1.8406003b2ab43p+0,
+# 0x1.a5e4f29ddd46dp+1 and 0x1.4e9acaca3a59bp+3 for power-2.5-25.
+# quadratic_phi(40) agrees with quadratic_phi() since phi^(-1)(p) = sqrt(2p)
+# for every p < 800 on both
 _COMPANION_PINS = {
     "quadratic": ["0x1.0000000000000p+0", "0x1.6a09e667f3bcdp+0",
-                  "0x1.59d642bc4f91dp+1", "0x1.c48c6001eff93p+2"],
+                  "0x1.59d642bc4fc1cp+1", "0x1.c48c6001f0ac0p+2"],
     "quadratic-40": ["0x1.0000000000000p+0", "0x1.6a09e667f3bcdp+0",
-                     "0x1.59d642bc4f91dp+1", "0x1.c48c6001eff93p+2"],
-    "power-2.5-25": ["0x1.000000000049cp+0", "0x1.8406003b2ab43p+0",
-                     "0x1.a5e4f29ddd46dp+1", "0x1.4e9acaca3a59bp+3"],
+                     "0x1.59d642bc4fc1cp+1", "0x1.c48c6001f0ac0p+2"],
+    "power-2.5-25": ["0x1.0000000000000p+0", "0x1.8406003b2ae5cp+0",
+                     "0x1.a5e4f29ddde61p+1", "0x1.4e9acaca3abfcp+3"],
 }
 _COMPANION_PHIS = {"quadratic": lambda: quadratic_phi(),
                    "quadratic-40": lambda: quadratic_phi(40.0),
@@ -345,8 +376,8 @@ _COMPANION_PHIS = {"quadratic": lambda: quadratic_phi(),
 
 @pytest.mark.parametrize("name", sorted(_COMPANION_PINS))
 def test_psi_from_phi_pinned(name):
-    # exact bits of the single-point inversions (the normalization polish
-    # runs them) and of the batched inversion of an array
+    # exact bits of single-point evaluations (the normalization polish runs
+    # them) and of an evaluation at an array
     psi = psi_from_phi(_COMPANION_PHIS[name]())
     ps = [1.0, 2.0, 7.3, 50.0]
     one_at_a_time = [float(psi.interior(np.array([p]))[0]).hex() for p in ps]

@@ -11,9 +11,9 @@ from glsnum.convex import (ConjugatePoint, RealFunction1D,
                            exponent_V, growth_report_for_psi, h_of,
                            young_fenchel, young_fenchel_point,
                            young_fenchel_table)
-from glsnum.bphi import psi_from_phi, quadratic_phi
-from glsnum.psi import (PsiFunction, make_exp_psi, make_extremal_psi,
-                        make_power_psi)
+from glsnum.bphi import power_phi, psi_from_phi, quadratic_phi
+from glsnum.psi import (SLOWLY_VARYING, PsiFunction, make_exp_psi,
+                        make_extremal_psi, make_power_psi, make_sv_psi)
 from glsnum.search import GridSpec
 
 
@@ -102,13 +102,41 @@ def test_fenchel_young_inequality(rng):
         assert v * z <= float(h(z)) + young_fenchel(h, v) + 1e-9
 
 
+_SLOPED_PSIS = [make_power_psi(2.0), make_exp_psi(0.3, 0.7),
+                make_exp_psi(1.0, 1.0), make_extremal_psi(3.0),
+                psi_from_phi(quadratic_phi()),
+                psi_from_phi(power_phi(3.0, 4.0))]
+
+
 def test_table_matches_pointwise():
-    h = h_of(make_power_psi(2.0))
-    vs = np.linspace(-1.0, 3.0, 30)
-    values, argmaxes, flags = young_fenchel_table(h, vs)
-    for v, val, am, fl in zip(vs, values, argmaxes, flags):
-        pt = young_fenchel_point(h, float(v))
-        assert (val, am, fl) == (pt.value, pt.argmax_z, pt.hit_cap)
+    # every row of the table is the point query bit for bit, Newton-polished
+    # on the slopes of h; under power psi the maximizer e^(2 v - 1) passes
+    # the cap 200 from v = 3.15 on, and golden section polishes the
+    # conjugate of a psi without slopes
+    vs = np.linspace(-1.0, 6.0, 36)
+    sv = make_sv_psi(2.0, SLOWLY_VARYING["log"])
+    capped = []
+    for psi in _SLOPED_PSIS + [sv]:
+        h = h_of(psi)
+        assert (h.slope is None) == (psi is sv)
+        values, argmaxes, flags = young_fenchel_table(h, vs)
+        for v, val, am, fl in zip(vs, values, argmaxes, flags):
+            pt = young_fenchel_point(h, float(v))
+            assert (val, am, fl) == (pt.value, pt.argmax_z, pt.hit_cap)
+        capped.append(bool(flags.any()))
+    assert capped[0]
+
+
+@pytest.mark.parametrize("psi", _SLOPED_PSIS, ids=lambda psi: psi.label)
+def test_newton_table_matches_golden_table(psi):
+    # the Newton polish on h's slopes and the golden-section polish of the
+    # same psi without them reach the same conjugate values
+    vs = np.linspace(-1.0, 6.0, 64)
+    newton, _, flags = young_fenchel_table(h_of(psi), vs)
+    golden, _, golden_flags = young_fenchel_table(
+        h_of(dataclasses.replace(psi, log_slope=None)), vs)
+    np.testing.assert_allclose(newton, golden, rtol=1e-12, atol=0.0)
+    assert flags.tolist() == golden_flags.tolist()
 
 
 def test_hit_cap_reported():

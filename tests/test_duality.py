@@ -318,7 +318,7 @@ _PINNED = [
      "0x1.c86d48b38fd67p+0", "0x1.53b135e0ec4d2p+2"),
     ("companion", lambda: psi_from_phi(quadratic_phi()), [0.3, 0.3, 0.4],
      [1.0, -2.0, 0.5], [0.7, 0.1, -0.4],
-     "0x1.b72b0398a9d1fp+0", "0x1.f9ff8ee46c86ap+0"),
+     "0x1.b72b03c9a09d3p+0", "0x1.f9ff8ee46fbefp+0"),
     ("power-3-two-atoms", lambda: make_power_psi(3.0), [0.7, 0.3],
      [4.0, -1.0], [0.2, 0.9],
      "0x1.ff99ac7c1ab1cp+1", "0x1.029c65a1691d3p+1"),

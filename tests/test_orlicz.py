@@ -176,7 +176,7 @@ def test_conjugate_young_point_fields():
     ("power", -3.0, "0x1.2000000000000p+1", "0x1.7fffffae5ae7dp+0", False),
     ("power", 1e3, "0x1.3880000000000p+17", "0x1.9000000000000p+7", True),
     ("N_pow2", 0.0, "0x0.0p+0", "0x0.0p+0", False),
-    ("N_pow2", -3.0, "0x1.10c492e2435aap+2", "0x1.5bf0a8b1492d7p+1", False),
+    ("N_pow2", -3.0, "0x1.10c492e2435acp+2", "0x1.5bf0a8b1492d7p+1", False),
     ("N_pow2", 1e300, "0x1.2aa4f4a405be2p+1004", "0x1.9000000000000p+7",
      True),
 ])

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from glsnum.bphi import psi_from_phi, quadratic_phi
+from glsnum.bphi import power_phi, psi_from_phi, quadratic_phi
 from glsnum.convex import h_of
 from glsnum.measure import probability_space
 from glsnum.psi import (SLOWLY_VARYING, AdjacentFunction, PsiFunction,
@@ -331,7 +331,8 @@ def test_adjacent_scalar_call_matches_one_element_array(name, include_a,
 
 @pytest.mark.parametrize("psi", [
     make_power_psi(1.0), make_power_psi(3.7), make_exp_psi(1.0, 0.5),
-    make_exp_psi(0.1, 1.4), make_extremal_psi(1.5), make_extremal_psi(5.3)],
+    make_exp_psi(0.1, 1.4), make_extremal_psi(1.5), make_extremal_psi(5.3),
+    psi_from_phi(quadratic_phi()), psi_from_phi(power_phi(3.0, 4.0))],
     ids=lambda psi: psi.label)
 def test_declared_log_slope_matches_central_differences(psi):
     # (ln psi)' against a central difference of ln psi, and (ln psi)''
@@ -350,7 +351,11 @@ def test_declared_log_slope_matches_central_differences(psi):
 def test_only_closed_form_families_declare_a_log_slope():
     assert make_sv_psi(2.0, SLOWLY_VARYING["log"]).log_slope is None
     assert make_table_psi([1.0, 2.0], [1.0, 1.5]).log_slope is None
-    assert psi_from_phi(quadratic_phi()).log_slope is None
+    # a companion declares one exactly when its phi has a closed-form inverse
+    for phi in (quadratic_phi(), power_phi(3.0, 4.0)):
+        assert psi_from_phi(phi).log_slope is not None
+        bisected = dataclasses.replace(phi, inverse=None)
+        assert psi_from_phi(bisected).log_slope is None
 
 
 @pytest.mark.parametrize("r", np.linspace(1.5, 6.0, 46))

@@ -183,6 +183,59 @@ def test_grid_refine_max_batch_matches_scalar(n_grid, lo, span, cluster,
     assert f_star[-2] == f_star[-1] == -np.inf
 
 
+def _batch_slope(a, c, b, w):
+    def slope(rows, x):
+        return (-2.0 * a[rows] * (x - c[rows])
+                + b[rows] * w[rows] * np.cos(w[rows] * x),
+                -2.0 * a[rows] - b[rows] * w[rows] ** 2 * np.sin(w[rows] * x))
+    return slope
+
+
+@given(n_grid=st.integers(min_value=3, max_value=40),
+       lo=st.floats(min_value=-300.0, max_value=300.0),
+       span=st.floats(min_value=1e-3, max_value=600.0),
+       rel_tol=st.sampled_from([1e-12, 1e-10, 1e-6, 1e-3]),
+       params=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 5.0),
+                                 st.floats(0.0, 2.0), st.floats(0.1, 10.0)),
+                       min_size=1, max_size=8))
+@settings(max_examples=80, deadline=None)
+def test_grid_refine_max_batch_newton_matches_scalar(n_grid, lo, span,
+                                                     rel_tol, params):
+    # the row-wise Newton twin against grid_refine_max(slope=...): random
+    # rows, concave or not (a positive curvature or a step out of the
+    # bracket bisects), then a constant row (zero slope: the best node
+    # stays), rows best at the left and right ends, an all-NaN row and an
+    # all -inf row
+    xs = np.linspace(lo, lo + span, n_grid)
+    pos, a, b, w = (np.array(col) for col in zip(*params))
+    c = np.concatenate([lo + pos * span, [0.0, xs[0] - 1.0, xs[-1] + 1.0,
+                                          0.0, 0.0]])
+    a = np.concatenate([a, [0.0, 1.0, 1.0, 1.0, 1.0]])
+    b = np.concatenate([b, np.zeros(5)])
+    w = np.concatenate([w, np.ones(5)])
+    fn, slope = _batch_objective(a, c, b, w), _batch_slope(a, c, b, w)
+    n = len(c)
+    rows = np.repeat(np.arange(n), len(xs))
+    values = fn(rows, np.tile(xs, n)).reshape(n, len(xs))
+    values[-2] = np.nan
+    values[-1] = -np.inf
+
+    def scalar_slope(x, k):
+        g, h = slope(np.array([k]), np.array([x]))
+        return float(g[0]), float(h[0])
+
+    expected = [grid_refine_max(
+        lambda x, k=k: float(fn(np.array([k]), np.array([x]))[0]), xs,
+        values=values[k].copy(), rel_tol=rel_tol,
+        slope=lambda x, k=k: scalar_slope(x, k)) for k in range(n)]
+    x_star, f_star = grid_refine_max_batch(fn, xs, values, rel_tol=rel_tol,
+                                           slope=slope)
+    for k, (x_ref, f_ref, _) in enumerate(expected):
+        assert (x_star[k], f_star[k]) == (x_ref, f_ref)
+    assert (x_star[n - 4], x_star[n - 3]) == (xs[0], xs[-1])
+    assert f_star[-2] == f_star[-1] == -np.inf
+
+
 def _scalar_min_feasible(t, rel_tol, x_max):
     try:
         return min_feasible(lambda x: x >= t, 1.0, rel_tol=rel_tol,
@@ -347,10 +400,45 @@ def test_psi_from_phi_array_matches_scalar_calls():
             1.01, min(phi.sup_value, 200.0) * 0.999, 57)])
         psi = psi_from_phi(phi)
         assert psi(ps).tolist() == [psi(float(p)) for p in ps]
-        # unnormalized, each value is p over the scalar inverse of phi
+
+
+def test_psi_from_phi_without_inverse_bisects():
+    # a phi without a closed-form inverse keeps the batched bisection: each
+    # unnormalized value is p over the scalar inverse of phi, bit for bit
+    import dataclasses
+    from glsnum.bphi import power_phi, psi_from_phi, quadratic_phi
+    for phi in (quadratic_phi(), power_phi(3.0), power_phi(1.5, 4.0)):
+        phi = dataclasses.replace(phi, inverse=None)
+        ps = np.concatenate([[1.0], np.geomspace(
+            1.01, min(phi.sup_value, 200.0) * 0.999, 57)])
+        psi = psi_from_phi(phi)
+        assert psi(ps).tolist() == [psi(float(p)) for p in ps]
         lam_hi = phi.lambda0 if math.isfinite(phi.lambda0) else 1e154
         raw = psi_from_phi(phi, normalize=False)
         assert raw(ps).tolist() == [
             p / increasing_inverse(lambda lam: float(phi(lam)), float(p),
                                    x_hi=lam_hi)
             for p in ps]
+
+
+@given(m=st.one_of(st.just(2.0), st.floats(min_value=1.05, max_value=8.0)),
+       lambda0=st.one_of(st.just(math.inf),
+                         st.floats(min_value=2.0, max_value=60.0)),
+       u=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1,
+                  max_size=6))
+@settings(max_examples=40, deadline=None)
+def test_psi_from_phi_closed_form_matches_bisection(m, lambda0, u):
+    # the closed-form inverse against the bisection it replaced and against
+    # the exact companion p^(1 - 1/m) (normalized: infimum 1 at p = 1)
+    import dataclasses
+    from glsnum.bphi import power_phi, psi_from_phi, quadratic_phi
+    phi = quadratic_phi(lambda0) if m == 2.0 else power_phi(m, lambda0)
+    if phi.sup_value <= 1.0:
+        return
+    top = min(phi.sup_value, 200.0)
+    ps = np.concatenate([[1.0], top ** (np.array(u) * (1.0 - 1e-9))])
+    closed = psi_from_phi(phi)(ps)
+    bisected = psi_from_phi(dataclasses.replace(phi, inverse=None))(ps)
+    np.testing.assert_allclose(closed, bisected, rtol=1e-11, atol=0.0)
+    np.testing.assert_allclose(closed, ps ** (1.0 - 1.0 / m), rtol=1e-11,
+                               atol=0.0)
