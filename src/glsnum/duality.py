@@ -6,7 +6,8 @@ grand space satisfies
 
     ||l_g||' <= V(g) = inf_q |g|_q / nu(q)
 
-with the infimum over the interval of conjugate exponents.  On a finite
+with the infimum over the interval of conjugate exponents, found like the
+grand norm's supremum: a pruned log grid scan and a polish.  On a finite
 space the associate norm itself is a finite-dimensional optimization
 
     sup { integral f g dmu : ||f||_G <= 1 },
@@ -36,10 +37,11 @@ from typing import Sequence
 import numpy as np
 
 from glsnum.convex import GrowthReport, growth_report_for_psi
-from glsnum.glnorm import DEFAULT_GRID, GlsNormResult, gls_norm
+from glsnum.glnorm import (DEFAULT_GRID, GlsNormResult, _scan_norms,
+                           gls_norm)
 from glsnum.measure import (DiscreteMeasureSpace, MeasurableFunction,
                             _atom_array, _check_bound, _log_norm_slopes,
-                            lp_norm, lp_norms)
+                            lp_norm)
 from glsnum.orlicz import (YoungFunction, build_N, conjugate_young_function,
                            luxemburg_norm)
 from glsnum.psi import PsiFunction, adjacent
@@ -84,15 +86,16 @@ def associate_bound(g: MeasurableFunction, psi: PsiFunction,
                     space: DiscreteMeasureSpace | None = None,
                     grid: GridSpec = DEFAULT_GRID) -> AssociateBoundResult:
     """Upper bound inf_q |g|_q / nu(q) on the associate norm of the
-    functional with density g: a log grid scan over the domain of nu, then
+    functional with density g: a log grid scan over the domain of nu,
+    pruned to the nodes that can hold the minimum (glnorm._scan_norms), then
     Newton's method on the slope of ln|g|_q + ln psi(q/(q-1)) when psi
     declares its log-slope, golden section otherwise."""
     space = _check_bound(g, space)
     nu = adjacent(psi)
     qs, capped = nu.scan_grid(grid)
-    norms = lp_norms(g, qs, space)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         nu_vals = nu(qs)
+        norms = _scan_norms(g, qs, space, np.log(nu_vals), minimize=True)
         objective = np.where(nu_vals > 0, norms / nu_vals, math.inf)
 
     def neg_scalar(q: float) -> float:

@@ -2,13 +2,17 @@
 
 The supremum is approximated by a log-spaced grid scan over the effective
 support (infinite right endpoints are capped, with a flag when the maximizer
-lands against the cap) followed by a polish of the best grid cell: a
-bracketed Newton iteration on the exact slopes of ln|f|_p - ln psi(p) when
-psi declares its log-slope (power, exponential and constant-one families),
-golden section otherwise.  Included endpoints are grid nodes, so norms that
-are attained at an endpoint (for instance under the constant-one family on
-[1, r], where the grand norm is max(|f|_1, |f|_r), exactly the r-norm when
-the total mass is at most 1) come out exact.
+lands against the cap) followed by a polish of the best grid cell.  On many
+atoms the scan is pruned: ln|f|_p is ln max|f| plus L(p)/p with L convex,
+so chords and secants of the evaluated nodes bound the others, and only
+the nodes whose bound can reach the best value are evaluated, which finds
+the full scan's best node (_scan_norms).  The polish is a bracketed Newton
+iteration on the exact slopes of ln|f|_p - ln psi(p) when psi declares its
+log-slope (power, exponential and constant-one families), golden section
+otherwise.  Included endpoints are grid nodes, so norms that are attained
+at an endpoint (for instance under the constant-one family on [1, r], where
+the grand norm is max(|f|_1, |f|_r), exactly the r-norm when the total mass
+is at most 1) come out exact.
 """
 from __future__ import annotations
 
@@ -17,8 +21,9 @@ from typing import Sequence
 
 import numpy as np
 
-from glsnum.measure import (DiscreteMeasureSpace, MeasurableFunction,
-                            _check_bound, _log_norm_slopes, lp_norm, lp_norms)
+from glsnum.measure import (_LSE_BLOCK, DiscreteMeasureSpace,
+                            MeasurableFunction, _check_bound,
+                            _log_norm_slopes, _power_terms, lp_norm, lp_norms)
 from glsnum.psi import PsiFunction, natural_function
 from glsnum.search import GridSpec, grid_refine_max
 
@@ -30,6 +35,18 @@ __all__ = [
 ]
 
 DEFAULT_GRID = GridSpec(points=256, cap=200.0, rel_tol=1e-10)
+
+#: node stride of the first pass of a pruned scan
+_PRUNE_STRIDE = 16
+
+#: an unevaluated node stays open while its bound on the log objective comes
+#: within this of the best evaluated node; far above the kernel's rounding
+_PRUNE_MARGIN = 1e-12
+
+#: scans of at most this many kernel blocks run in full: the pruned scan's
+#: rounds cost more than the kernel work they save up to 2.25-3 blocks
+#: (break-even at 576-768 atoms on 256 nodes, one BLAS thread)
+_PRUNE_MIN_BLOCKS = 2
 
 
 @dataclass(frozen=True)
@@ -50,22 +67,84 @@ class GlsNormResult:
                 "hit_cap": self.hit_cap}
 
 
+def _scan_norms(f: MeasurableFunction, ps: np.ndarray,
+                space: DiscreteMeasureSpace, log_den: np.ndarray,
+                minimize: bool = False) -> np.ndarray:
+    """|f|_p at every node of ps where the best of ln|f|_p - log_den (the
+    largest, or the smallest with minimize) can lie; NaN at the others.
+
+    L(p) = ln sum w exp(-p lam) (see _power_terms) is convex in p, and
+    ln|f|_p = ln max|f| + L(p)/p.  So at a node not yet evaluated, L lies
+    below the chord of the evaluated nodes on either side, and above their
+    neighbours' secants extended into the gap (and above L at the right
+    node: L is nonincreasing).  The scan evaluates every _PRUNE_STRIDE-th
+    node and the last, then, one lp_norms call a round, the midpoint of
+    every gap that still holds a node whose bound comes within
+    _PRUNE_MARGIN of the best evaluated value, until none does.  Every node
+    that can reach the best value is evaluated, so the best node and its
+    value are those of the full scan, up to the last bit of a kernel sum
+    that depends on the rows sharing its block (nodes tied within a few
+    ulp may trade places).  A scan that fits in _PRUNE_MIN_BLOCKS kernel
+    blocks runs in full.
+    """
+    top, lam, _ = _power_terms(f)
+    n = ps.size
+    if lam.size * n <= _PRUNE_MIN_BLOCKS * _LSE_BLOCK:
+        return lp_norms(f, ps, space)
+    sign = -1.0 if minimize else 1.0
+    norms = np.full(n, np.nan)
+    u = np.full(n, np.nan)  # ln(|f|_p / max|f|) = L(p)/p where evaluated
+    new = np.unique(np.r_[np.arange(0, n, _PRUNE_STRIDE), n - 1])
+    while new.size:
+        norms[new] = lp_norms(f, ps[new], space)
+        with np.errstate(divide="ignore"):
+            u[new] = np.log(norms[new] / top)
+        ev = np.flatnonzero(~np.isnan(norms))
+        with np.errstate(invalid="ignore"):
+            best = np.nanmax(sign * (u[ev] - log_den[ev]), initial=-np.inf)
+        # L where the norm is a normal number; a NaN bound leaves nodes open
+        L = np.where(norms >= np.finfo(float).tiny, ps * u, np.nan)
+        j = np.flatnonzero(np.isnan(norms))
+        k = ev.searchsorted(j)  # gap k runs from ev[k - 1] to ev[k]
+        left, right = ev[k - 1], ev[k]
+        p, pl, pr = ps[j], ps[left], ps[right]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            if minimize:
+                l2 = ev[np.maximum(k - 2, 0)]
+                r2 = ev[np.minimum(k + 1, ev.size - 1)]
+                from_left = L[left] + (p - pl) * (
+                    (L[left] - L[l2]) / (pl - ps[l2]))
+                from_right = L[right] + (p - pr) * (
+                    (L[r2] - L[right]) / (ps[r2] - pr))
+                from_left[k < 2] = np.nan
+                from_right[k + 1 >= ev.size] = np.nan
+                bound = np.fmax(np.fmax(from_left, from_right), L[right])
+            else:
+                bound = L[left] + (L[right] - L[left]) / (pr - pl) * (p - pl)
+            open_ = ~(sign * (bound / p - log_den[j]) < best - _PRUNE_MARGIN)
+        gaps = np.unique(k[open_])
+        new = (ev[gaps - 1] + ev[gaps]) // 2
+    return norms
+
+
 def gls_norm(f: MeasurableFunction, psi: PsiFunction,
              space: DiscreteMeasureSpace | None = None,
              grid: GridSpec = DEFAULT_GRID) -> GlsNormResult:
     """Grand norm of f under the generating function psi.
 
-    Scans |f|_p / psi(p) on a log-spaced grid over the effective support and
-    polishes the best cell: Newton's method on the slope of ln|f|_p -
-    ln psi(p) when psi.log_slope is set, golden-section search otherwise.
+    Scans |f|_p / psi(p) on a log-spaced grid over the effective support
+    (the nodes that can hold the maximum, see _scan_norms) and polishes the
+    best cell: Newton's method on the slope of ln|f|_p - ln psi(p) when
+    psi.log_slope is set, golden-section search otherwise.
     The reported value is the scalar p-norm path at the argmax, so
     value == lp_norm(f, argmax_p) / psi(argmax_p) bit for bit.
     """
     space = _check_bound(f, space)
     ps, capped = psi.scan_grid(grid)
-    norms = lp_norms(f, ps, space)
-    with np.errstate(invalid="ignore"):
-        objective = norms / psi(ps)
+    psi_vals = psi(ps)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        norms = _scan_norms(f, ps, space, np.log(psi_vals))
+        objective = norms / psi_vals
 
     def scalar(p: float) -> float:
         denom = psi(p)

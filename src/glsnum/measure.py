@@ -8,7 +8,9 @@ a private read-only 1-d float64 array, validated in one vectorized pass.  The
 p-norms are m (sum w (|f|/m)^p)^(1/p) with m = max|f|, from sorted log
 ratios, so no term overflows and none below the normal range reaches exp.
 Exponent scans, and the log-mgf of bphi, share one kernel (_exp_sums) that
-works on a small reused block of rows at a time.
+works on a small reused block of rows at a time.  The grand-norm scans call
+lp_norms on the nodes that can still hold their optimum only, a few rounds
+of a few nodes each on many atoms (glnorm._scan_norms).
 """
 from __future__ import annotations
 

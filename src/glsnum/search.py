@@ -10,7 +10,9 @@ derivatives (Newton steps, bisection where a step leaves the bracket or the
 curvature is not negative), and golden-section search when it does not.
 Norm-type quantities (Luxemburg norms, mgf-bounding norms) reduce to finding
 the smallest feasible scale for a monotone feasibility predicate, handled by
-geometric bracket expansion plus bisection.
+geometric bracket expansion (doubling or halving) plus bisection, or, when
+the predicate is residual <= 0 for a known monotone residual (the Luxemburg
+norm), plus Illinois regula falsi on that residual in ln x.
 
 grid_refine_max_batch and min_feasible_batch run many independent searches
 of one kind together: the same per-row arithmetic as the scalar routines,
@@ -371,6 +373,60 @@ def grid_refine_max_batch(fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
     return x_star, f_star
 
 
+def _bracket(residual: Callable[[float], float], x0: float, x_min: float,
+             x_max: float) -> tuple[float, float, float, float]:
+    """(lo, r_lo, hi, r_hi): the doubling or halving from x0, at most
+    _BRACKET_STEPS times, to adjacent points lo infeasible and hi feasible,
+    with their residuals; x is feasible when residual(x) <= 0, and
+    feasibility must be nondecreasing in x.
+
+    Raises NoFeasiblePoint if nothing up to x_max is feasible and
+    NoInfeasiblePoint if everything down to x_min stays feasible.
+    """
+    if not (x0 > 0 and math.isfinite(x0)):
+        raise ValueError("x0 must be a positive finite real")
+    x0 = min(max(x0, x_min), x_max)
+    r0 = residual(x0)
+    if r0 <= 0:
+        hi, r_hi = x0, r0
+        lo = x0 / 2.0
+        for _ in range(_BRACKET_STEPS):
+            if lo < x_min:
+                raise NoInfeasiblePoint(
+                    f"feasible all the way down to {x_min:g}")
+            r_lo = residual(lo)
+            if not r_lo <= 0:
+                break
+            hi, r_hi = lo, r_lo
+            lo /= 2.0
+        else:
+            raise NoInfeasiblePoint("bracket shrink budget exhausted")
+    else:
+        lo, r_lo = x0, r0
+        hi = x0 * 2.0
+        for _ in range(_BRACKET_STEPS):
+            if hi > x_max:
+                r_hi = residual(x_max)
+                if r_hi <= 0:
+                    hi = x_max
+                    break
+                raise NoFeasiblePoint(f"infeasible all the way up to {x_max:g}")
+            r_hi = residual(hi)
+            if r_hi <= 0:
+                break
+            lo, r_lo = hi, r_hi
+            hi *= 2.0
+        else:
+            raise NoFeasiblePoint("bracket expansion budget exhausted")
+    return lo, r_lo, hi, r_hi
+
+
+def _geometric_mid(lo: float, hi: float) -> float:
+    """sqrt(lo * hi), also where lo * hi leaves the normal range."""
+    return (math.sqrt(lo * hi) if 2.0 ** -1022 <= lo * hi < math.inf
+            else lo * math.sqrt(hi / lo))
+
+
 def min_feasible(feasible: Callable[[float], bool], x0: float, *,
                  rel_tol: float = 1e-10, x_min: float = 1e-300,
                  x_max: float = 1e308, side: str = "mid") -> float:
@@ -384,40 +440,10 @@ def min_feasible(feasible: Callable[[float], bool], x0: float, *,
     Raises NoFeasiblePoint if nothing up to x_max is feasible and
     NoInfeasiblePoint if everything down to x_min stays feasible.
     """
-    if not (x0 > 0 and math.isfinite(x0)):
-        raise ValueError("x0 must be a positive finite real")
-    x0 = min(max(x0, x_min), x_max)
-    if feasible(x0):
-        hi = x0
-        lo = x0 / 2.0
-        for _ in range(_BRACKET_STEPS):
-            if lo < x_min:
-                raise NoInfeasiblePoint(
-                    f"feasible all the way down to {x_min:g}")
-            if not feasible(lo):
-                break
-            hi = lo
-            lo /= 2.0
-        else:
-            raise NoInfeasiblePoint("bracket shrink budget exhausted")
-    else:
-        lo = x0
-        hi = x0 * 2.0
-        for _ in range(_BRACKET_STEPS):
-            if hi > x_max:
-                if feasible(x_max):
-                    hi = x_max
-                    break
-                raise NoFeasiblePoint(f"infeasible all the way up to {x_max:g}")
-            if feasible(hi):
-                break
-            lo = hi
-            hi *= 2.0
-        else:
-            raise NoFeasiblePoint("bracket expansion budget exhausted")
+    lo, _, hi, _ = _bracket(lambda x: -1.0 if feasible(x) else 1.0, x0,
+                            x_min, x_max)
     while (hi - lo) > rel_tol * hi:
-        mid = (math.sqrt(lo * hi) if 2.0 ** -1022 <= lo * hi < math.inf
-               else lo * math.sqrt(hi / lo))  # lo * hi left that range
+        mid = _geometric_mid(lo, hi)
         if not (lo < mid < hi):
             break
         if feasible(mid):
@@ -425,6 +451,48 @@ def min_feasible(feasible: Callable[[float], bool], x0: float, *,
         else:
             lo = mid
     return hi if side == "hi" else 0.5 * (lo + hi)
+
+
+def min_feasible_root(residual: Callable[[float], float], x0: float, *,
+                      rel_tol: float = 1e-10, x_min: float = 1e-300,
+                      x_max: float = 1e308) -> float:
+    """min_feasible(side="mid") for the predicate residual(x) <= 0, with
+    residual nonincreasing in x, by regula falsi on the residual.
+
+    The bracket is min_feasible's.  Each step then takes the root of the
+    line through (ln lo, residual) and (ln hi, residual), the Illinois
+    variant: an end that the steps keep twice in a row has its residual
+    halved, so both ends close in.  A step keeps rel_tol / 4 away from
+    either end, and a non-finite residual at an end makes it a bisection
+    step.  lo stays infeasible and hi feasible; stops at min_feasible's
+    relative width rel_tol and returns the midpoint.  A residual linear in
+    ln x is solved by the first step.
+    """
+    lo, f_lo, hi, f_hi = _bracket(residual, x0, x_min, x_max)
+    moved = 0  # +1 when the last step moved hi, -1 when it moved lo
+    gap = 0.25 * rel_tol
+    while (hi - lo) > rel_tol * hi:
+        x = math.nan
+        if math.isfinite(f_lo) and math.isfinite(f_hi) and f_lo > f_hi:
+            width = math.log(hi / lo)
+            step = width * (f_lo / (f_lo - f_hi))
+            x = lo * math.exp(min(max(step, gap), width - gap))
+        if not lo < x < hi:  # NaN fails too
+            x = _geometric_mid(lo, hi)
+            if not lo < x < hi:
+                break
+        r = residual(x)
+        if r <= 0:
+            hi, f_hi = x, r
+            if moved == 1:
+                f_lo *= 0.5
+            moved = 1
+        else:
+            lo, f_lo = x, r
+            if moved == -1:
+                f_hi *= 0.5
+            moved = -1
+    return 0.5 * (lo + hi)
 
 
 def min_feasible_batch(feasible: Callable[[np.ndarray, np.ndarray],
@@ -482,7 +550,7 @@ def min_feasible_batch(feasible: Callable[[np.ndarray, np.ndarray],
     act = np.flatnonzero((hi - lo) > rel_tol * hi)
     while act.size:
         lo_a, hi_a = lo[act], hi[act]
-        with np.errstate(over="ignore"):  # min_feasible's midpoint, per row
+        with np.errstate(over="ignore"):  # _geometric_mid, per row
             mid = lo_a * hi_a
             normal = (mid >= 2.0 ** -1022) & (mid < np.inf)
             mid = np.where(normal, np.sqrt(mid), lo_a * np.sqrt(hi_a / lo_a))

@@ -4,6 +4,7 @@ dual-bound reports."""
 
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,11 +14,13 @@ from hypothesis import strategies as st
 from glsnum import (
     SetFunction,
     StepFunction,
+    adjacent,
     associate_bound,
     associate_norm_oracle,
     batch_embedding_check,
     conjugate_exponent,
     lp_norm,
+    lp_norms,
     make_exp_psi,
     make_extremal_psi,
     make_power_psi,
@@ -33,7 +36,7 @@ from glsnum import (
     verify_representation,
 )
 import glsnum.duality
-from conftest import random_function, random_space
+from conftest import random_function, random_space, scan_function, scan_psi
 
 SV_LOG = lambda p: np.log(math.e - 1.0 + np.asarray(p, dtype=float))
 
@@ -104,6 +107,33 @@ def test_bound_result_to_dict(rng):
     d = associate_bound(g, make_power_psi(2.0), space).to_dict()
     assert set(d) == {"value", "arginf_q", "hit_cap"}
     assert isinstance(d["hit_cap"], bool)
+
+
+def _full_scan(f, ps, space, log_den, minimize=False):
+    return lp_norms(f, ps, space)
+
+
+@given(g=scan_function(), psi=scan_psi())
+@settings(max_examples=150, deadline=None)
+def test_pruned_scan_matches_full_scan(g, psi):
+    # the pruned scan of the bound against the full 256-node scan: the same
+    # node and value, except among nodes tied within 4 ulp (a row's kernel
+    # sum may differ in the last bit with the rows that share its block)
+    slack = 4 * np.finfo(float).eps
+    res = associate_bound(g, psi)
+    with mock.patch.object(glsnum.duality, "_scan_norms", _full_scan):
+        full = associate_bound(g, psi)
+    nu = adjacent(psi)
+    qs = nu.scan_grid(glsnum.duality.DEFAULT_GRID)[0]
+    with np.errstate(divide="ignore", over="ignore"):
+        nu_vals = nu(qs)
+        objective = np.where(nu_vals > 0, lp_norms(g, qs) / nu_vals, np.inf)
+    best = np.min(objective)
+    if np.count_nonzero(objective <= best * (1.0 + slack)) > 1:
+        assert res.value == pytest.approx(full.value, rel=slack, abs=0.0)
+    else:
+        assert (res.value, res.arginf_q) == (full.value, full.arginf_q)
+    assert res.hit_cap == full.hit_cap
 
 
 # ---------------------------------------------------------------------------
