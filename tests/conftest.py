@@ -31,6 +31,11 @@ def rng():
 _SV_LOG = lambda p: np.log(np.e - 1.0 + np.asarray(p, dtype=float))
 
 
+def full_scan(f, ps, space, log_den, minimize=False):
+    """Stand-in for glnorm._scan_norms that evaluates every node."""
+    return lp_norms(f, ps, space)
+
+
 @st.composite
 def scan_psi(draw):
     """A generating function of every family: power, exponential, extremal,

@@ -36,7 +36,8 @@ from glsnum import (
     verify_representation,
 )
 import glsnum.duality
-from conftest import random_function, random_space, scan_function, scan_psi
+from conftest import (full_scan, random_function, random_space,
+                      scan_function, scan_psi)
 
 SV_LOG = lambda p: np.log(math.e - 1.0 + np.asarray(p, dtype=float))
 
@@ -109,10 +110,6 @@ def test_bound_result_to_dict(rng):
     assert isinstance(d["hit_cap"], bool)
 
 
-def _full_scan(f, ps, space, log_den, minimize=False):
-    return lp_norms(f, ps, space)
-
-
 @given(g=scan_function(), psi=scan_psi())
 @settings(max_examples=150, deadline=None)
 def test_pruned_scan_matches_full_scan(g, psi):
@@ -121,7 +118,7 @@ def test_pruned_scan_matches_full_scan(g, psi):
     # sum may differ in the last bit with the rows that share its block)
     slack = 4 * np.finfo(float).eps
     res = associate_bound(g, psi)
-    with mock.patch.object(glsnum.duality, "_scan_norms", _full_scan):
+    with mock.patch.object(glsnum.duality, "_scan_norms", full_scan):
         full = associate_bound(g, psi)
     nu = adjacent(psi)
     qs = nu.scan_grid(glsnum.duality.DEFAULT_GRID)[0]

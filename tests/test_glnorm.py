@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 import glsnum.duality
 import glsnum.glnorm
-from conftest import (dense_gls_reference, random_function, random_space,
-                      scan_function, scan_psi)
+from conftest import (dense_gls_reference, full_scan, random_function,
+                      random_space, scan_function, scan_psi)
 from glsnum.duality import associate_bound
 from glsnum.glnorm import (DEFAULT_GRID, FamilyUnitNormReport,
                            family_unit_norm_check, gls_norm)
@@ -230,10 +230,6 @@ def test_newton_polish_evaluation_count(monkeypatch):
 # the pruned p-norm scan
 # ---------------------------------------------------------------------------
 
-def _full_scan(f, ps, space, log_den, minimize=False):
-    return lp_norms(f, ps, space)
-
-
 @given(f=scan_function(), psi=scan_psi())
 @settings(max_examples=150, deadline=None)
 def test_pruned_scan_matches_full_scan(f, psi):
@@ -242,7 +238,7 @@ def test_pruned_scan_matches_full_scan(f, psi):
     # last bit with the rows that share its block, so nodes tied within 4
     # ulp may trade places, and then only the value is pinned
     res = gls_norm(f, psi)
-    with mock.patch.object(glsnum.glnorm, "_scan_norms", _full_scan):
+    with mock.patch.object(glsnum.glnorm, "_scan_norms", full_scan):
         full = gls_norm(f, psi)
     ps = psi.scan_grid(DEFAULT_GRID)[0]
     objective = lp_norms(f, ps) / psi(ps)
@@ -273,6 +269,6 @@ def test_pruned_scan_node_count(monkeypatch):
             res = bound(f, psi)
             assert 17 <= sum(nodes) <= 64
             with monkeypatch.context() as m:
-                m.setattr(glsnum.glnorm, "_scan_norms", _full_scan)
-                m.setattr(glsnum.duality, "_scan_norms", _full_scan)
+                m.setattr(glsnum.glnorm, "_scan_norms", full_scan)
+                m.setattr(glsnum.duality, "_scan_norms", full_scan)
                 assert bound(f, psi) == res
