@@ -134,9 +134,7 @@ def _cmd_lp(args) -> int:
 
 def _cmd_natural(args) -> int:
     space, family = _load_functions(args.input)
-    if not family:
-        raise ValueError("the input contains no functions")
-    psi = natural_function(family, space)
+    psi = natural_function(family, space)  # for its label and --csv
     report = family_unit_norm_check(family, space)
     if args.csv:
         export_psi_csv(psi, args.csv)

@@ -16,6 +16,7 @@ is at most 1) come out exact.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -23,9 +24,10 @@ import numpy as np
 
 from glsnum.measure import (_LSE_BLOCK, DiscreteMeasureSpace,
                             MeasurableFunction, _check_bound,
-                            _log_norm_slopes, _power_terms, lp_norm, lp_norms)
-from glsnum.psi import PsiFunction, natural_function
-from glsnum.search import GridSpec, grid_refine_max
+                            _log_norm_slopes, _power_terms, _terms_norm,
+                            lp_norm, lp_norms)
+from glsnum.psi import PsiFunction, _family_norms
+from glsnum.search import GridSpec, golden_max, grid_refine_max, interval_grid
 
 __all__ = [
     "GlsNormResult",
@@ -191,17 +193,44 @@ def family_unit_norm_check(family: Sequence[MeasurableFunction],
                            space: DiscreteMeasureSpace | None = None, *,
                            grid: GridSpec = DEFAULT_GRID
                            ) -> FamilyUnitNormReport:
-    """Build the natural generating function of the family and report each
-    member's grand norm against it, plus the deviation of their supremum
-    from 1."""
+    """Each member's grand norm under the family's natural generating
+    function max_z |f_z|_p on [1, 200], taken exactly (natural_function
+    tabulates it), and the deviation of their supremum from 1.
+
+    On the closed scan grid a member's objective is its lp_norms row over
+    the column max; a member that is the column max at some node has norm
+    exactly 1, so the supremum is exactly 1.  Each other member takes the
+    larger of its best cell, polished by golden section in ln p, and its
+    ratio at each crossing of the members that hold the column max on
+    either side of a cell, where the ratio can peak in a cusp narrower
+    than a cell.  Both are attained values of the exact ratio
+    lp_norm(f, p) / max_z lp_norm(f_z, p), so neither exceeds 1.
+    """
     family = list(family)
-    if not family:
-        raise ValueError("the family is empty")
-    if space is None:
-        space = family[0].space
-    psi = natural_function(family, space)
-    norms = tuple(gls_norm(f, psi, space, grid).value for f in family)
-    sup_norm = max(norms)
-    return FamilyUnitNormReport(sup_norm=sup_norm,
-                                deviation=abs(sup_norm - 1.0),
+    ps, _ = interval_grid(1.0, 200.0, True, True, grid.points, cap=grid.cap)
+    rows, envelope = _family_norms(family, space, ps)
+    terms = [_power_terms(f) for f in family]
+
+    def ratios(p: float) -> np.ndarray:
+        at_p = np.array([_terms_norm(t, p) for t in terms])
+        return at_p / at_p.max()
+
+    def minus_gap(a: tuple, b: tuple):
+        return lambda t: -abs(math.log(_terms_norm(a, math.exp(t))
+                                       / _terms_norm(b, math.exp(t))))
+
+    owner = rows.argmax(axis=0)
+    at_kinks = []  # every member's ratio where the column max changes hands
+    for j in np.flatnonzero(owner[1:] != owner[:-1]):
+        t, _ = golden_max(minus_gap(terms[owner[j]], terms[owner[j + 1]]),
+                          math.log(ps[j]), math.log(ps[j + 1]),
+                          tol=grid.rel_tol)
+        at_kinks.append(ratios(math.exp(t)))
+    norms = tuple(1.0 if np.any(row == envelope) else float(max(
+        [grid_refine_max(lambda p: ratios(p)[z], ps, values=row / envelope,
+                         rel_tol=grid.rel_tol, refine_in_log=True)[1]]
+        + [r[z] for r in at_kinks]))
+        for z, row in enumerate(rows))
+    return FamilyUnitNormReport(sup_norm=max(norms),
+                                deviation=abs(max(norms) - 1.0),
                                 member_norms=norms)

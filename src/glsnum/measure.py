@@ -220,7 +220,12 @@ def lp_norm(f: MeasurableFunction, p: float,
     p = float(p)
     if not p >= 1.0:
         raise ValueError(f"p-norms need p >= 1, got {p}")
-    top, lam, w = _power_terms(f)
+    return _terms_norm(_power_terms(f), p)
+
+
+def _terms_norm(terms: tuple, p: float) -> float:
+    """lp_norm at a float p >= 1 from a function's kept _power_terms."""
+    top, lam, w = terms
     if top == 0.0 or math.isinf(p):
         return top
     cut = -_EXP_FLOOR / p

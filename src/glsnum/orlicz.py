@@ -203,10 +203,15 @@ def conjugate_young_function(N: YoungFunction, *,
                              grid: GridSpec = CONJUGATE_GRID) -> YoungFunction:
     """Tabulated conjugate Young function, piecewise linear in y.
 
-    The nodes (0 and a log-spaced grid from 1e-8 to 1e6) carry exact conjugate
-    values; the true conjugate is convex in y, so the chords between nodes
-    never undershoot it.  That keeps Hoelder right-hand sides built from this
-    table on the safe side of the inequality.  Beyond 1e6 the last chord
+    The nodes are 0 and a log-spaced grid from 1e-8 to 1e6.  Their values
+    are scan-and-polish values, not exact: where the maximizer lies in the
+    first cell of the u-scan (y up to 2Ce under the branch C u^2, with the
+    exact conjugate y^2/(4C)), they sit low by up to 2.4e-6 relative for
+    power(2) and 2.4e-3 for power(4), though below 4e-15 absolute (the
+    exact conjugate is ROADMAP Direction 8, slice B).  The true conjugate
+    is convex in y, so chords between exact nodes never undershoot it,
+    which keeps Hoelder right-hand sides built from this table on the safe
+    side of the inequality up to that node error.  Beyond 1e6 the last chord
     extends linearly, which for a convex function is a certified lower bound
     only; trusted_up_to records where certification ends.
     """

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import glsnum.duality
 import glsnum.glnorm
+import glsnum.psi
 from conftest import (dense_gls_reference, full_scan, random_function,
                       random_space, scan_function, scan_psi)
 from glsnum.duality import associate_bound
@@ -141,6 +142,55 @@ def test_family_unit_norm_scaled_pair():
     report = family_unit_norm_check([f, 2.0 * f], space)
     assert report.member_norms[1] == pytest.approx(1.0, abs=1e-6)
     assert report.member_norms[0] == pytest.approx(0.5, abs=1e-6)
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(2, 4),
+       n=st.integers(50, 3000))
+@settings(max_examples=8, deadline=None)
+def test_family_unit_norm_exact_envelope(seed, k, n):
+    # against the exact envelope max_z |f_z|_p: the sup is 1 to 4 ulp, no
+    # member exceeds it, and no member falls below its best ratio on a
+    # 65,536-node log grid of [1, 200]
+    rng = np.random.default_rng(seed)
+    space = probability_space(rng.uniform(0.2, 1.0, n))
+    family = [space.function(rng.uniform(0.7, 1.4) * rng.standard_t(3, n))
+              for _ in range(k)]
+    report = family_unit_norm_check(family, space)
+    ulp4 = 4 * math.ulp(1.0)
+    assert abs(report.sup_norm - 1.0) <= ulp4
+    assert report.deviation <= ulp4
+    rows = np.array([lp_norms(f, np.geomspace(1.0, 200.0, 65_536), space)
+                     for f in family])
+    dense = (rows / rows.max(axis=0)).max(axis=1)
+    for norm, ref in zip(report.member_norms, dense):
+        assert norm <= 1.0 + ulp4
+        assert norm >= ref * (1.0 - 1e-9)
+
+
+def test_family_unit_norm_kernel_calls(monkeypatch):
+    # k members: k lp_norms calls over the 256 scan nodes, none over the
+    # 4,096 table nodes, and no natural_function table
+    calls = []
+    for module in (glsnum.psi, glsnum.glnorm):
+        real = module.lp_norms
+        monkeypatch.setattr(module, "lp_norms",
+                            lambda f, ps, *a, real=real:
+                            calls.append(np.size(ps)) or real(f, ps, *a))
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("natural_function was called")
+    monkeypatch.setattr(glsnum.psi, "natural_function", no_table)
+    monkeypatch.setattr(glsnum.glnorm, "natural_function", no_table,
+                        raising=False)
+    rng = np.random.default_rng(41)
+    for k in (2, 3, 4):
+        space = probability_space(rng.uniform(0.2, 1.0, 6000 // k))
+        family = [space.function(rng.standard_t(3, 6000 // k))
+                  for _ in range(k)]
+        calls.clear()
+        report = family_unit_norm_check(family, space)
+        assert calls == [DEFAULT_GRID.points] * k
+        assert report.sup_norm == 1.0
 
 
 # ---------------------------------------------------------------------------
