@@ -18,11 +18,11 @@ classical Hoelder inequality tight.  Each iterate of a climb is scored (one
 grand-norm scan) once, and a climb that never leaves its seed is not
 rescored.  The oracle is a certified lower bound;
 together with the adjacent-function upper bound it brackets the associate
-norm.  When a scored seed is already within the grid's polish tolerance
-rel_tol of that bound, the oracle returns it without climbing: no climb
-could raise it by rel_tol relative.  For the constant-one family on a
-probability space the two meet (the bound is attained), so there the seeds
-alone settle the norm; on a space of larger total mass they need not.
+norm.  Seeds are scored from the Hoelder profile of the bound's minimizer
+on, and the first within the grid's polish tolerance rel_tol of that bound
+is returned without climbing: no climb could raise it by rel_tol.  For the
+constant-one family on a probability space the two meet (the bound is
+attained), so there that seed settles the norm; with larger mass it need not.
 
 Set functions on the finite algebra are determined by their atom values;
 their total-variation-style norm against the grand unit ball reduces to the
@@ -92,10 +92,9 @@ def associate_bound(g: MeasurableFunction, psi: PsiFunction,
     declares its log-slope, golden section otherwise."""
     space = _check_bound(g, space)
     nu = adjacent(psi)
-    qs, capped = nu.scan_grid(grid)
+    qs, capped, nu_vals, log_nu = psi.scan(grid, dual=True)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        nu_vals = nu(qs)
-        norms = _scan_norms(g, qs, space, np.log(nu_vals), minimize=True)
+        norms = _scan_norms(g, qs, space, log_nu, minimize=True)
         objective = np.where(nu_vals > 0, norms / nu_vals, math.inf)
 
     def neg_scalar(q: float) -> float:
@@ -205,10 +204,11 @@ def _unit_ball_pairing_sup(t: np.ndarray, psi: PsiFunction,
     Seeds and t are scaled by powers of two to max|.| <= 1: no overflow.
 
     Stop rule: the adjacent-function bound V on the same t is an upper
-    bound on the supremum, so when the best seed scores at least
-    V (1 - grid.rel_tol) it is returned as it is, certified within rel_tol
-    of the supremum, and no climb runs.  Otherwise the two best seeds climb
-    on a 96-point grid and their ends are rescored on the caller's grid.
+    bound on the supremum.  Seeds are scored (each distinct one once) from
+    the profile of V's minimizer on, then in the order above; the first
+    scoring at least V (1 - grid.rel_tol) is returned, within rel_tol of the
+    supremum, and no climb runs.  Otherwise the two best seeds climb on a
+    96-point grid and their ends are rescored on the caller's grid.
     """
     if space.n_atoms > ORACLE_ATOM_BUDGET:
         raise ValueError(
@@ -225,9 +225,10 @@ def _unit_ball_pairing_sup(t: np.ndarray, psi: PsiFunction,
     nu = adjacent(psi)
     q_cap = min(nu.q_upper, grid.cap)
     q_lo = max(nu.q_lower, 1.0 + 1e-6)
+    q_star = min(max(bound.arginf_q, q_lo), q_cap)
     q_seeds = sorted(set(
         float(q) for q in np.geomspace(q_lo + 1e-9, q_cap, _SEED_EXPONENTS)
-    ) | {min(max(bound.arginf_q, q_lo), q_cap)})
+    ) | {q_star})
     absg = np.abs(g_eff)
     sgn = np.sign(g_eff)
     max_abs = float(np.max(absg))
@@ -238,12 +239,17 @@ def _unit_ball_pairing_sup(t: np.ndarray, psi: PsiFunction,
         seeds.append(sgn * prof)
     # small refinement grid for the climb; the final value is re-scored below
     coarse = GridSpec(points=96, cap=grid.cap, rel_tol=1e-9)
-    scored = sorted(
-        ((_score(s, t, space, psi, grid)[0], i) for i, s in
-         enumerate(seeds)), reverse=True)
+    first = 2 + q_seeds.index(q_star)
+    scored = []
+    for i in [first] + [i for i in range(len(seeds)) if i != first]:
+        if any(np.array_equal(seeds[i], seeds[j]) for _, j in scored):
+            continue  # under constant |g| the profiles repeat the sign seed
+        val = _score(seeds[i], t, space, psi, grid)[0]
+        if val >= bound.value * (1.0 - grid.rel_tol):
+            return float(val) * t_max  # no climb can gain rel_tol
+        scored.append((val, i))
+    scored.sort(reverse=True)
     best_val = scored[0][0]
-    if best_val >= bound.value * (1.0 - grid.rel_tol):
-        return float(best_val) * t_max  # no climb can gain rel_tol
     for _, idx in scored[:2]:
         fv = _hill_climb(seeds[idx], t, space, psi, coarse)
         if fv is seeds[idx]:
@@ -262,10 +268,10 @@ def associate_norm_oracle(g: MeasurableFunction, psi: PsiFunction,
 
     The ball is symmetric under f -> -f, so the one-sided supremum of the
     pairing already equals the supremum of its absolute value.  The value
-    is a feasible pairing, at most associate_bound up to rounding; when a
-    seed comes within grid.rel_tol of that bound (as under flat psi on a
-    probability space, where the bound is attained) it is returned without
-    a climb, and the two bracket the norm to rel_tol.
+    is a feasible pairing, at most associate_bound up to rounding.  The
+    Hoelder seed of the bound's minimizer is scored first, and the first
+    seed within grid.rel_tol of the bound (as under flat psi on a probability
+    space) is returned without a climb; the two bracket the norm to rel_tol.
     """
     space = _check_bound(g, space)
     t = g.value_array * space.weight_array

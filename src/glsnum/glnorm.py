@@ -142,10 +142,9 @@ def gls_norm(f: MeasurableFunction, psi: PsiFunction,
     value == lp_norm(f, argmax_p) / psi(argmax_p) bit for bit.
     """
     space = _check_bound(f, space)
-    ps, capped = psi.scan_grid(grid)
-    psi_vals = psi(ps)
+    ps, capped, psi_vals, log_psi = psi.scan(grid)
     with np.errstate(divide="ignore", invalid="ignore"):
-        norms = _scan_norms(f, ps, space, np.log(psi_vals))
+        norms = _scan_norms(f, ps, space, log_psi)
         objective = norms / psi_vals
 
     def scalar(p: float) -> float:

@@ -69,7 +69,8 @@ class PsiFunction:
     has a closed-form inverse), maps a support point p, a float or an
     array, to ((ln psi)'(p), (ln psi)''(p)); the grand-norm, adjacent-bound
     and Legendre scans polish by Newton's method with it, and by golden
-    section without.
+    section without.  scan keeps its read-only arrays in a private memo
+    per grid size and cap (not nu, whose reference to psi makes a cycle).
     """
 
     a: float
@@ -80,6 +81,8 @@ class PsiFunction:
     label: str = "psi"
     table: tuple | None = None  # (p_nodes, values) for tabulated functions
     log_slope: Callable[[float], tuple[float, float]] | None = None
+    _scans: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     def __post_init__(self) -> None:
         if not (1.0 <= self.a < self.b):
@@ -101,6 +104,21 @@ class PsiFunction:
         returns (grid, capped)."""
         return interval_grid(self.a, self.b, self.include_a, self.include_b,
                              grid.points, cap=grid.cap)
+
+    def scan(self, grid: GridSpec, dual: bool = False) -> tuple:
+        """(nodes, capped, values, log values) on scan_grid(grid) of psi, or
+        of adjacent(psi) with dual: built on first use, then memoized."""
+        key = (grid.points, grid.cap, dual)
+        if key not in self._scans:
+            fn = adjacent(self) if dual else self
+            nodes, capped = fn.scan_grid(grid)
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                values = fn(nodes)
+                log_values = np.log(values)
+            for a in (nodes, values, log_values):
+                a.flags.writeable = False
+            self._scans[key] = (nodes, capped, values, log_values)
+        return self._scans[key]
 
 
 @dataclass(frozen=True, eq=False)

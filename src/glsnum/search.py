@@ -56,7 +56,8 @@ class GridSpec:
 
     points   -- size of the coarse grid
     cap      -- computational stand-in for an infinite upper endpoint
-    rel_tol  -- relative tolerance of the golden-section polish
+    rel_tol  -- relative tolerance of the golden-section and Newton polish,
+                and the oracle's stop margin below the adjacent bound
     """
 
     points: int = 256

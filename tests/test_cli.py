@@ -117,6 +117,25 @@ def test_natural_with_csv_export(capsys, family_file, tmp_path):
     float(first.split(",")[1])  # numeric, not a numpy repr
 
 
+def test_natural_builds_no_table_without_csv(capsys, family_file,
+                                             monkeypatch):
+    # the label comes from the member count; only --csv needs the table,
+    # and the family check raises the table's errors itself
+    def no_table(*args, **kwargs):
+        raise AssertionError("natural_function was called")
+    monkeypatch.setattr(glsnum.cli, "natural_function", no_table)
+    rep = run_json(capsys, "natural", "--input", family_file)
+    assert (rep["psi"], rep["sup_member_norm"]) == ("natural(k=3)", 1.0)
+    pair = [make_space([0.5, 0.5]).function([1.0, 2.0]),
+            make_space([0.25, 0.75]).function([1.0, 2.0])]
+    for family, message in (([], "the family is empty"),
+                            (pair, "family members live on different spaces")):
+        monkeypatch.setattr(glsnum.cli, "_load_functions",
+                            lambda source, family=family: (None, family))
+        assert run_cli(capsys, "natural", "--input", "x") == (
+            1, "", f"error: {message}\n")
+
+
 def test_adjacent_closed_form(capsys):
     rep = run_json(capsys, "adjacent", "--psi", POWER2,
                    "--q", "2.0", "--q", "4.0")

@@ -36,6 +36,7 @@ from glsnum import (
     verify_representation,
 )
 import glsnum.duality
+import glsnum.psi
 from conftest import (full_scan, random_function, random_space,
                       scan_function, scan_psi)
 
@@ -419,3 +420,66 @@ def test_oracle_and_setfunction_norm_pinned(case):
     psi, space, g, gamma = _pinned_inputs(case)
     assert associate_norm_oracle(g, psi, space).hex() == case[5]
     assert setfunction_norm(gamma, psi, space).hex() == case[6]
+
+
+# ---------------------------------------------------------------------------
+# the seed order and the scan memo: counted grand-norm scans and grids
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("values, weights, pinned", [
+    ([1.0, -1.0, 1.0], [0.2, 0.3, 0.5], "0x1.0000000000000p+0"),
+    ([2.0, -2.0, 2.0, 2.0, -2.0, 2.0], [0.1] * 6, "0x1.fff0dbb232f38p+0"),
+    ([2.0, -2.0, 2.0, 2.0, -2.0, 2.0], [0.5, 1.0, 0.25, 0.75, 1.5, 0.125],
+     "0x1.0000000000000p+1"),
+])
+def test_oracle_scores_each_distinct_seed_once(monkeypatch, values, weights,
+                                               pinned):
+    # under constant |g| the sign seed and every power profile are one
+    # array: it is scored once, and the value keeps the bits it had when
+    # every seed was scored
+    keys = _record_scans(monkeypatch)
+    space = make_space(weights)
+    value = associate_norm_oracle(space.function(values), make_power_psi(2.0),
+                                  space)
+    assert len(set(keys)) == len(keys)
+    assert value.hex() == pinned
+
+
+def test_oracle_scores_one_seed_for_extremal(monkeypatch):
+    # the Hoelder seed of the bound's minimizer is scored first and meets
+    # the bound under flat psi: one scan on the caller's grid per call
+    keys = _record_scans(monkeypatch)
+    psi, space, g, gamma = _pinned_inputs(_PINNED[0])
+    for run in (lambda: associate_norm_oracle(g, psi, space),
+                lambda: setfunction_norm(gamma, psi, space)):
+        keys.clear()
+        run()
+        assert [grid for _, grid in keys] == [glsnum.duality.DEFAULT_GRID]
+
+
+def test_oracle_builds_each_grid_once(monkeypatch):
+    # a fresh psi builds its full, 96-node climb and adjacent grids on the
+    # first oracle call; later calls on the same psi read them from its memo
+    psi, space, g, gamma = _pinned_inputs(
+        next(c for c in _PINNED if c[0] == "power-2"))
+    built = []
+    real = glsnum.psi.interval_grid
+    monkeypatch.setattr(glsnum.psi, "interval_grid",
+                        lambda *a, **k: built.append(a[4]) or real(*a, **k))
+    associate_norm_oracle(g, psi, space)
+    assert 96 in built and len(built) <= 3
+    built.clear()
+    associate_norm_oracle(g, psi, space)
+    setfunction_norm(gamma, psi, space)
+    assert built == []
+
+
+def test_scan_memo_is_read_only():
+    psi = make_power_psi(2.0)
+    for dual in (False, True):
+        nodes, _, values, log_values = psi.scan(glsnum.duality.DEFAULT_GRID,
+                                                dual)
+        assert psi.scan(glsnum.duality.DEFAULT_GRID, dual)[0] is nodes
+        for a in (nodes, values, log_values):
+            with pytest.raises(ValueError):
+                a[0] = 1.0

@@ -17,7 +17,7 @@ from glsnum.glnorm import (DEFAULT_GRID, FamilyUnitNormReport,
                            family_unit_norm_check, gls_norm)
 from glsnum.measure import lp_norm, lp_norms, make_space, probability_space
 from glsnum.psi import (adjacent, make_exp_psi, make_extremal_psi,
-                        make_power_psi, make_sv_psi)
+                        make_power_psi, make_sv_psi, make_table_psi)
 from glsnum.search import GridSpec
 
 SV_LOG = lambda p: np.log(math.e - 1.0 + np.asarray(p, dtype=float))
@@ -322,3 +322,48 @@ def test_pruned_scan_node_count(monkeypatch):
                 m.setattr(glsnum.glnorm, "_scan_norms", full_scan)
                 m.setattr(glsnum.duality, "_scan_norms", full_scan)
                 assert bound(f, psi) == res
+
+
+# ---------------------------------------------------------------------------
+# the per-psi scan memo
+# ---------------------------------------------------------------------------
+
+@st.composite
+def psi_factory(draw):
+    """A factory that builds the same generating function afresh on each
+    call: power, extremal, exponential or table."""
+    kind = draw(st.sampled_from(["power", "extremal", "exponential",
+                                 "table"]))
+    if kind == "power":
+        m = draw(st.floats(0.5, 6.0))
+        return lambda: make_power_psi(m)
+    if kind == "extremal":
+        r = draw(st.floats(1.2, 8.0))
+        return lambda: make_extremal_psi(r)
+    if kind == "exponential":
+        C, beta = draw(st.floats(0.02, 0.5)), draw(st.floats(0.3, 1.0))
+        return lambda: make_exp_psi(C, beta)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    nodes = np.geomspace(1.0, float(rng.uniform(5.0, 300.0)), 9)
+    values = np.cumprod(rng.uniform(1.0, 1.5, 9))
+    return lambda: make_table_psi(nodes, values)
+
+
+@given(f=lognormal_function(), warm_with=lognormal_function(),
+       factory=psi_factory())
+@settings(max_examples=60, deadline=None)
+def test_warm_scan_memo_keeps_every_bit(f, warm_with, factory):
+    # the grand norm and the adjacent bound read psi's scan from its memo;
+    # after other functions have filled it they give the bits of a psi
+    # built afresh
+    warm = factory()
+    for grid in (DEFAULT_GRID, GridSpec(points=96, cap=200.0, rel_tol=1e-9),
+                 GridSpec(points=256, cap=50.0)):
+        gls_norm(warm_with, warm, grid=grid)
+        associate_bound(warm_with, warm, grid=grid)
+        for norm in (gls_norm, associate_bound):
+            got = norm(f, warm, grid=grid).to_dict()
+            want = norm(f, factory(), grid=grid).to_dict()
+            assert got == want
+            assert [float(v).hex() for v in got.values()] == [
+                float(v).hex() for v in want.values()]
