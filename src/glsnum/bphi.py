@@ -6,10 +6,12 @@ ball of a convex even rate function phi at scale tau when
     E exp(lambda xi) <= exp(phi(lambda tau))   for all admissible lambda;
 
 its norm is the smallest such tau.  Feasibility is checked on a fixed
-symmetric log-spaced lambda grid with the comparison done in the log domain,
-and the minimal tau is found by geometric bracketing plus bisection.  The
-companion generating function psi_phi(p) = p / phi^(-1)(p) transfers the mgf
-bound into moment growth, linking these norms to grand norms.
+symmetric log-spaced lambda grid with the comparison done in the log domain;
+each node needs tau >= phi^(-1)(ln E exp(lambda xi)) / |lambda|, so the norm
+is the largest of these node values.  The companion generating function
+psi_phi(p) = p / phi^(-1)(p) transfers the mgf bound into moment growth,
+linking these norms to grand norms.  Both take phi^(-1) from one routine,
+_phi_inverse.
 """
 from __future__ import annotations
 
@@ -22,10 +24,8 @@ import numpy as np
 from glsnum.glnorm import DEFAULT_GRID, gls_norm
 from glsnum.measure import (DiscreteMeasureSpace, MeasurableFunction,
                             _exp_sums, _read_json)
-from glsnum.psi import PsiFunction, _normalizing_infimum
-from glsnum.search import (GridSpec, NoFeasiblePoint, NoInfeasiblePoint,
-                           _on_interval, increasing_inverse, log_grid,
-                           min_feasible, min_feasible_batch)
+from glsnum.psi import PsiFunction
+from glsnum.search import GridSpec, _on_interval, log_grid, min_feasible_batch
 
 __all__ = [
     "PhiFunction",
@@ -55,7 +55,7 @@ FEASIBILITY_SLACK = 1e-12
 
 TAU_MAX = 1e6
 
-#: relative tolerance of the phi inversions behind psi_from_phi
+#: relative tolerance of the phi inversion by bisection
 _INVERSE_TOL = 1e-12
 
 
@@ -67,9 +67,9 @@ class PhiFunction:
     vacuous).  `core` is the formula on nonnegative arguments inside the
     interval and must accept numpy arrays.  `inverse`, set by quadratic_phi
     and power_phi, is a pair (c, e) with phi^(-1)(y) = (c y)^e in closed
-    form for y in [0, sup phi): psi_from_phi then evaluates its companion by
-    that formula and declares its log-slope; without it psi_from_phi
-    inverts phi by bisection.
+    form for y in [0, sup phi): bphi_norm and psi_from_phi then invert phi
+    by that formula, and the companion declares its log-slope; without it
+    they invert phi by bisection.
     """
 
     lambda0: float
@@ -270,25 +270,46 @@ def mgf(xi: RandomVariableSample, lam: float) -> float:
     return math.exp(lm)
 
 
+def _phi_inverse(phi: PhiFunction, y: np.ndarray) -> np.ndarray:
+    """Smallest lambda >= 0 with phi(lambda) >= y at each element of the
+    1-d array y >= 0, and lambda0 where y reaches sup phi.
+
+    With phi.inverse = (c, e) this is (c y)^e capped at lambda0; without it
+    one batched bracket-and-bisect pass to relative tolerance _INVERSE_TOL
+    over the y > 0, whose every element is increasing_inverse(phi, y,
+    rel_tol=_INVERSE_TOL) bit for bit.
+    """
+    if phi.inverse is not None:
+        c, e = phi.inverse
+        return np.minimum((c * y) ** e, phi.lambda0)
+    out = np.zeros(y.size)
+    pos = np.flatnonzero(y > 0)  # phi >= y holds down to 0 elsewhere
+    out[pos] = min_feasible_batch(
+        lambda rows, lam: phi(lam) >= y[pos[rows]], pos.size,
+        rel_tol=_INVERSE_TOL,
+        x_max=phi.lambda0 if math.isfinite(phi.lambda0) else 1e154)
+    return out
+
+
 def bphi_norm(xi: RandomVariableSample, phi: PhiFunction, *,
               tau_max: float = TAU_MAX) -> float:
     """Minimal tau with ln E exp(lambda xi) <= phi(lambda tau) + slack at
-    every node of a 400-point lambda grid.
+    every node of a 400-point lambda grid: the largest
+    phi^(-1)(ln E exp(lambda xi) - slack) / |lambda| over the nodes.
 
-    Two errors enter.  The bisection on tau stops within relative tolerance
-    1e-8 of the smallest tau feasible on the grid.  That tau is a maximum
-    over the grid nodes, so it can sit below the norm, the same condition
-    over every lambda: under quadratic_phi by 5.02e-4 relative for
-    two_point(1, 0.001), whose norm is known in closed form.
+    The one error is the grid's.  The value is a maximum over its nodes, so
+    it can sit below the norm, the same condition over every lambda: under
+    quadratic_phi by 5.02e-4 relative for two_point(1, 0.001), whose norm
+    is known in closed form.
 
     The grid is 200 log-spaced |lambda| from 1e-4 to LAMBDA_CAP
     (to just inside lambda0 when phi's interval is finite) on each side of
-    0, and the slack FEASIBILITY_SLACK.  Returns +inf when no tau up to
-    tau_max is feasible (the variable is not in the ball of phi) and 0 for
-    the zero variable.  The variable is rescaled to unit sup before the
-    scan and the result scaled back, so the lambda-grid discretization
-    cancels between a variable and its multiples and the norm is exactly
-    positively homogeneous.
+    0, and the slack FEASIBILITY_SLACK.  Returns +inf when that tau is above
+    tau_max (the variable is not in the ball of phi) and 0 for the zero
+    variable.  The variable is rescaled to unit sup before the scan and the
+    result scaled back, so the lambda-grid discretization cancels between a
+    variable and its multiples and the norm is exactly positively
+    homogeneous.
     """
     scale = float(np.max(np.abs(xi.values)))
     if scale == 0.0:
@@ -298,19 +319,9 @@ def bphi_norm(xi: RandomVariableSample, phi: PhiFunction, *,
     mags = log_grid(1e-4, lam_max, 200)
     lams = np.concatenate([-mags[::-1], mags])
     lmgf = _log_mgf(xi.values / scale, xi.probs, lams)
-
-    def feasible(tau: float) -> bool:
-        with np.errstate(invalid="ignore"):
-            gap = lmgf - phi(lams * tau)
-        return bool(np.max(gap) <= FEASIBILITY_SLACK)
-
-    try:
-        return scale * min_feasible(feasible, 1.0, rel_tol=1e-8,
-                                    x_min=1e-12, x_max=tau_max, side="hi")
-    except NoFeasiblePoint:
-        return math.inf
-    except NoInfeasiblePoint:
-        return 0.0
+    need = _phi_inverse(phi, np.maximum(lmgf - FEASIBILITY_SLACK, 0.0))
+    tau = float(np.max(need / np.abs(lams)))
+    return scale * tau if tau <= tau_max else math.inf
 
 
 def psi_from_phi(phi: PhiFunction, *, normalize: bool = True
@@ -318,55 +329,34 @@ def psi_from_phi(phi: PhiFunction, *, normalize: bool = True
     """Companion generating function psi(p) = p / phi^(-1)(p).
 
     The support is [1, b) with b the supremum of phi over its interval
-    (exponents beyond the range of phi are outside the support); with
-    normalize the function is rescaled to infimum 1 over [1, 200], scanned
-    on 512 log-spaced points.
+    (exponents beyond the range of phi are outside the support).  With
+    normalize the function is divided by its value at p = 1, its infimum:
+    phi is convex with phi(0) = 0, so phi^(-1)(p) / p is nonincreasing and
+    the companion nondecreasing.
 
-    With phi.inverse = (c, e) the companion is the formula p / (c p)^e,
-    one vectorized expression at any number of points, and it declares
-    its log-slope ((1 - e) / p, -(1 - e) / p^2), so grand norms and
-    Legendre tables under it polish by Newton's method.  Without it an
-    evaluation at several points inverts phi at all of them in one batched
-    bracket-and-bisect pass that gives every point exactly the scalar
-    increasing_inverse(phi, p, rel_tol=_INVERSE_TOL); an evaluation at one
-    point (a scalar psi call, and each step of the normalization polish)
-    runs that scalar inversion, about 44 scalar phi calls.
+    phi^(-1) is _phi_inverse at every point of an evaluation: the formula
+    (c p)^e when phi carries phi.inverse = (c, e), and then the companion
+    declares its log-slope ((1 - e) / p, -(1 - e) / p^2), so grand norms
+    and Legendre tables under it polish by Newton's method; one batched
+    bisection otherwise.
     """
     sup_phi = phi.sup_value
     if sup_phi <= 1.0:
         raise ValueError(
             f"{phi.label}: range sup {sup_phi!r} <= 1 leaves no exponents "
             "p >= 1 in the support")
+
+    def raw(p):
+        return p / _phi_inverse(phi, p)
+
     log_slope = None
     if phi.inverse is not None:
-        c, e = phi.inverse
-
-        def raw(p):
-            return p / (c * p) ** e
+        e = phi.inverse[1]
 
         def log_slope(p):
             return (1.0 - e) / p, -(1.0 - e) / (p * p)
-    else:
-        lam_hi = phi.lambda0 if math.isfinite(phi.lambda0) else 1e154
 
-        def raw(p):
-            flat = np.atleast_1d(np.asarray(p, dtype=float))
-            if flat.size == 1:  # one point: the scalar loop has less overhead
-                inv = increasing_inverse(phi, float(flat[0]), x_hi=lam_hi,
-                                         rel_tol=_INVERSE_TOL)
-            else:
-                # support points p >= 1 lie above phi(0) = 0, where
-                # increasing_inverse is min_feasible(side="hi") from 1
-                inv = min_feasible_batch(
-                    lambda rows, lam: phi(lam) >= flat[rows], flat.size,
-                    rel_tol=_INVERSE_TOL, x_max=lam_hi)
-            out = flat / inv
-            return out if np.ndim(p) else out[0]
-
-    scale = 1.0
-    if normalize:
-        hi = min(sup_phi * (1 - 1e-9), 200.0)
-        scale = _normalizing_infimum(raw, log_grid(1.0, hi, 512))
+    scale = raw(np.array([1.0]))[0] if normalize else 1.0
     return PsiFunction(
         a=1.0, b=sup_phi, include_a=True, include_b=False,
         interior=lambda p: raw(p) / scale,

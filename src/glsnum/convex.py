@@ -306,6 +306,9 @@ def growth_report_for_psi(psi: PsiFunction, K: float, alpha: float, *,
     where the exponent function is used.  Grid points whose conjugate scan
     pressed against the exponent cap carry uncertified (lower-bound) values;
     those points are excluded from the ratios and counted in n_flagged.
+    When every point is flagged (power psi above m = 3.72 on the default
+    grid) the check is vacuous, and the report says so: passed False, NaN
+    worst ratio and worst x, and every grid point in n_flagged.
     """
     if x_grid is None:
         x_grid = np.geomspace(math.e * K * 1.0000001, 1e4, 160)
@@ -315,5 +318,9 @@ def growth_report_for_psi(psi: PsiFunction, K: float, alpha: float, *,
         h, np.concatenate([np.log(xs), np.log(xs / K)]), grid)
     n = len(xs)
     bad = capped[:n] | capped[n:]
+    if bad.all():
+        return GrowthReport(passed=False, worst_ratio=math.nan,
+                            worst_x=math.nan, alpha=float(alpha), K=float(K),
+                            n_flagged=n)
     values = np.where(bad, math.nan, both[:n])  # flagged by _ratio_report
     return _ratio_report(both[n:], values, xs, float(alpha), float(K))

@@ -1,6 +1,7 @@
 """Moment-generating-function norms: rate functions, sample constructors,
 the minimal-tau norm, and the companion generating function."""
 
+import dataclasses
 import decimal
 import json
 import math
@@ -8,7 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from glsnum import (
@@ -28,6 +29,8 @@ from glsnum import (
     rademacher,
     two_point,
 )
+from glsnum import bphi
+from glsnum.search import log_grid
 
 
 # ---------------------------------------------------------------------------
@@ -317,10 +320,9 @@ def _two_point_subgaussian_norm(x: float, q: float) -> float:
 @settings(max_examples=150, deadline=None)
 def test_bphi_norm_two_point_against_closed_form(x, negative, q):
     # the lambda grid can only leave the norm below the exact one (by at
-    # most 5.05e-4 over 20,001 q); above it stands only the tau bisection,
-    # which stops within its relative tolerance 1e-8 above the smallest
-    # tau feasible on the grid (it exceeded the exact norm by up to 4.97e-9
-    # on that scan), plus the rounding of both sides
+    # most 5.05e-4 over 20,001 q); the value is the smallest tau feasible on
+    # the grid, the largest phi^(-1)(lmgf - slack) / |lambda| over its
+    # nodes, so only the rounding of both sides can put it above
     x = -x if negative else x
     exact = _two_point_subgaussian_norm(x, q)
     got = bphi_norm(two_point(x, q), quadratic_phi())
@@ -335,6 +337,66 @@ def test_bphi_norm_infinite_when_no_feasible_tau():
     assert 100.0 < finite < 1e4
     capped = bphi_norm(rademacher(), power_phi(4.0), tau_max=10.0)
     assert capped == math.inf
+
+
+def _grid_excess(xi, phi, tau):
+    """ln E exp(lambda xi) - phi(lambda tau) - FEASIBILITY_SLACK at the 400
+    lambda nodes of bphi_norm, for the variable rescaled to unit sup as
+    bphi_norm does, less 8 ulps of the log-mgf for the rounding of phi and
+    its inverse: tau is feasible on the grid where no element is positive."""
+    scale = float(np.max(np.abs(xi.values)))
+    lam_max = (bphi.LAMBDA_CAP if math.isinf(phi.lambda0)
+               else phi.lambda0 * (1 - 1e-9))
+    mags = log_grid(1e-4, lam_max, 200)
+    lams = np.concatenate([-mags[::-1], mags])
+    lmgf = bphi._log_mgf(xi.values / scale, xi.probs, lams)
+    return (lmgf - phi(lams * tau) - bphi.FEASIBILITY_SLACK
+            - 8 * np.finfo(float).eps * np.abs(lmgf))
+
+
+@given(family=st.sampled_from(["quadratic", "power"]),
+       m=st.floats(min_value=1.05, max_value=8.0),
+       lambda0=st.one_of(st.just(math.inf),
+                         st.floats(min_value=0.5, max_value=60.0)),
+       kind=st.sampled_from(["rademacher", "two_point", "normal"]),
+       a=st.floats(min_value=0.5, max_value=3.0),
+       q=st.floats(min_value=0.05, max_value=0.95),
+       points=st.integers(min_value=11, max_value=61))
+@example(family="power", m=4.0, lambda0=1.0, kind="rademacher", a=1.0,
+         q=0.5, points=11)
+@settings(max_examples=60, deadline=None)
+def test_bphi_norm_is_the_smallest_grid_feasible_tau(family, m, lambda0, kind,
+                                                    a, q, points):
+    # the value over the sup is feasible at every grid node within the
+    # slack and rounding, a hair less is not, and the bisection inverse of
+    # a phi built without its closed form gives the same value;
+    # power(4, lambda0=1) puts the log-mgf above sup phi at the top nodes,
+    # where the inverse is lambda0
+    phi = (quadratic_phi(lambda0) if family == "quadratic"
+           else power_phi(m, lambda0))
+    xi = {"rademacher": lambda: rademacher(a),
+          "two_point": lambda: two_point(a, q),
+          "normal": lambda: discretized_normal(points, 2.0 + 2.0 * a)}[kind]()
+    value = bphi_norm(xi, phi)
+    tau = value / float(np.max(np.abs(xi.values)))
+    assert 0.0 < tau <= bphi.TAU_MAX
+    assert np.max(_grid_excess(xi, phi, tau)) <= 0.0
+    assert np.max(_grid_excess(xi, phi, tau * (1.0 - 1e-9))) > 0.0
+    bisected = bphi_norm(xi, dataclasses.replace(phi, inverse=None))
+    assert bisected == pytest.approx(value, rel=1e-11, abs=0.0)
+
+
+def test_phi_inverse_is_lambda0_at_and_above_sup_phi():
+    # power(4) on (-1, 1) has sup phi = 1/4: from there on both the closed
+    # form and the bisection give lambda0; y = 0 gives 0
+    phi = power_phi(4.0, 1.0)
+    y = np.array([0.0, 1e-9, 0.1, 0.2499, 0.25, 0.3, 5.0])
+    closed = bphi._phi_inverse(phi, y)
+    bisected = bphi._phi_inverse(dataclasses.replace(phi, inverse=None), y)
+    assert closed[0] == bisected[0] == 0.0
+    assert closed[4:].tolist() == bisected[4:].tolist() == [1.0, 1.0, 1.0]
+    np.testing.assert_allclose(bisected, closed, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(phi(closed[1:4]), y[1:4], rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -389,6 +451,47 @@ def test_psi_from_phi_pinned(name):
 def test_psi_from_phi_needs_enough_range():
     with pytest.raises(ValueError, match="no exponents"):
         psi_from_phi(quadratic_phi(1.0))  # sup over (-1, 1) is 1/2
+
+
+@given(family=st.sampled_from(["quadratic", "power"]),
+       m=st.floats(min_value=1.05, max_value=8.0),
+       lambda0=st.one_of(st.just(math.inf),
+                         st.floats(min_value=0.5, max_value=60.0)),
+       closed=st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_psi_from_phi_is_one_at_one_and_nondecreasing(family, m, lambda0,
+                                                      closed):
+    # the normalizer is the companion at p = 1, its infimum: phi is convex
+    # with phi(0) = 0, so p / phi^(-1)(p) is nondecreasing
+    phi = (quadratic_phi(lambda0) if family == "quadratic"
+           else power_phi(m, lambda0))
+    assume(phi.sup_value > 1.0)
+    if not closed:
+        phi = dataclasses.replace(phi, inverse=None)
+    psi = psi_from_phi(phi)
+    assert psi(1.0) == 1.0
+    vals = psi(np.geomspace(1.0, min(psi.b, 200.0) * (1 - 1e-9), 64))
+    assert np.all(np.diff(vals) >= 0.0)
+
+
+@pytest.mark.parametrize("phi", [quadratic_phi(), power_phi(3.0),
+                                 power_phi(1.5, 4.0)],
+                         ids=["quadratic", "power-3", "power-1.5-4"])
+def test_psi_from_phi_builds_with_one_inversion(phi, monkeypatch):
+    # the build inverts phi once, at p = 1: one batched bisection for a phi
+    # without its closed form and none with it
+    calls = []
+    batch = bphi.min_feasible_batch
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return batch(*args, **kwargs)
+
+    monkeypatch.setattr(bphi, "min_feasible_batch", counted)
+    psi_from_phi(phi)
+    assert calls == []
+    psi_from_phi(dataclasses.replace(phi, inverse=None))
+    assert calls == [1]
 
 
 def test_membership_check_rademacher():

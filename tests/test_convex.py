@@ -248,6 +248,23 @@ def test_growth_report_for_psi_power():
         assert rep.worst_ratio == pytest.approx(2.0 ** (-m), rel=1e-9)
 
 
+@pytest.mark.parametrize("m", [3.75, 4.0])
+def test_growth_report_for_psi_vacuous_when_every_point_is_capped(m):
+    # above m = 3.72 the maximizer of v z - h(z) passes the cap 200 at every
+    # point of the default grid: the report says the check is vacuous
+    # instead of raising, and verify_representation, which runs it, returns
+    from glsnum.duality import verify_representation
+    from glsnum.measure import probability_space
+    psi = make_power_psi(m)
+    rep = growth_report_for_psi(psi, 2.0, 0.75)
+    assert rep.passed is False
+    assert math.isnan(rep.worst_ratio) and math.isnan(rep.worst_x)
+    assert (rep.alpha, rep.K, rep.n_flagged) == (0.75, 2.0, 160)
+    space = probability_space([0.3, 0.7])
+    out = verify_representation(space.function([1.0, -2.0]), psi, space)
+    assert out.growth.n_flagged == 160 and out.growth.passed is False
+
+
 def test_growth_report_for_psi_extremal_fails():
     # V(x) = r ln x grows too slowly: the log-type refutation applies
     rep = growth_report_for_psi(make_extremal_psi(3.0), 2.0, 0.5)
